@@ -3,21 +3,24 @@
 Each attack returns an AttackReport holding the closed-form expectation
 next to the simulated totals so the two routes can be cross-checked.
 
-The intercept and intercept/resend samplers follow the published
-accounting of the attack totals: an intercepted slot whose bits mismatch
-hands the photon to Alice deterministically, and a resending Alice always
-re-emits one photon per attacked slot (so total clicks are exactly
-n + n0_resend). See the per-slot tables in _INTERCEPT/_RESEND below.
+Alice's intercept and intercept/resend attacks are each one set of per-slot
+click-count tables: the honest channel of `optics.outcome_distribution` on
+unattacked slots and an attack table on attacked ones. The expectations and
+the simulated totals both read that one set. The tables follow the
+published accounting of the attack totals: an intercepted slot whose bits
+mismatch hands the photon to Alice deterministically, and a resending
+Alice always re-emits one photon per attacked slot (so total clicks are
+exactly n + n0_resend).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import binom
 
 from . import optics, protocol
 from .errors import AttackImpossibleError, ParameterError
@@ -63,119 +66,104 @@ class AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-slot outcome tables: ((beta0, beta1, alpha), probability) entries for
-# the bit-match and bit-mismatch branches; each branch has probability 1/2.
+# Per-slot click tables. A table lists ((beta0, beta1, alpha), probability)
+# rows; an attack is four tables indexed by 2 * attacked + mismatched. The
+# closed-form expectations and the sampler read the same tables.
 # ---------------------------------------------------------------------------
 
-def _honest_tables(bs: optics.BeamSplitter):
-    r, t = bs.r, bs.t
-    eq = [((1, 0, 0), r * r), ((0, 1, 0), r * t), ((0, 0, 1), t)]
-    neq = [((1, 0, 0), 1.0)]
-    return eq, neq
+def _channel_table(a_bit: int, b_bit: int, bs: optics.BeamSplitter) -> list:
+    """The honest comparison channel: one click per slot."""
+    dist = optics.outcome_distribution(a_bit, b_bit, bs)
+    return [((1, 0, 0), dist[optics.Detector.D0]),
+            ((0, 1, 0), dist[optics.Detector.D1]),
+            ((0, 0, 1), dist[optics.Detector.D2])]
 
 
-def _intercept_tables(bs: optics.BeamSplitter):
+class _SlotTables:
+    """The four slot tables of one attack, laid out for sampling.
+
+    Table k owns the interval [k, k + 1) of one sorted array of cumulative
+    probabilities, so one searchsorted of k + u, u uniform on [0, 1), draws
+    a row of table k for every slot at once.
+    """
+
+    def __init__(self, tables: list):
+        self.tables = tables
+        self.rows = np.array([c for table in tables for c, _ in table],
+                             dtype=np.int16)
+        edges = []
+        for key, table in enumerate(tables):
+            cum = np.cumsum([prob for _, prob in table])
+            cum[-1] = 1.0
+            edges.append(key + cum)
+        self.edges = np.concatenate(edges)
+        # k + u can round up to k + 1, which belongs to the next table.
+        self.top = np.nextafter(np.arange(1.0, len(tables) + 1), 0.0)
+
+    def sample(self, key: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Indices into rows, one drawn per slot from table key[i]."""
+        u = np.minimum(key + rng.random(key.shape), self.top[key])
+        return np.searchsorted(self.edges, u, side="right")
+
+    def totals(self, row: np.ndarray) -> np.ndarray:
+        """Summed (beta0, beta1, alpha) clicks of the sampled rows."""
+        return np.bincount(row, minlength=len(self.rows)) @ self.rows
+
+    def expected_totals(self, n: int, n_attacked: int) -> tuple[dict, dict]:
+        """Mean and standard deviation of the (D0, D1, D2) click totals of
+        n slots, n_attacked of them attacked, each slot's bits matching
+        with probability 1/2."""
+        mean = np.zeros(3)
+        var = np.zeros(3)
+        for attacked, slots in ((0, n - n_attacked), (1, n_attacked)):
+            first = np.zeros(3)
+            second = np.zeros(3)
+            for table in self.tables[2 * attacked:2 * attacked + 2]:
+                for counts, prob in table:
+                    c = np.asarray(counts, dtype=float)
+                    first += 0.5 * prob * c
+                    second += 0.5 * prob * c * c
+            mean += slots * first
+            var += slots * (second - first * first)
+        return (dict(zip(DETECTORS, mean.tolist())),
+                dict(zip(DETECTORS, np.sqrt(var).tolist())))
+
+
+def _attack_tables(bs: optics.BeamSplitter, resend: bool) -> _SlotTables:
+    """Slot tables of the intercept or the intercept/resend attack."""
+    honest = [_channel_table(0, 0, bs), _channel_table(0, 1, bs)]
     # Opening both bins adds nothing on matched slots (the honest bin is
     # already covered); on mismatched slots Alice captures the photon.
-    eq, _ = _honest_tables(bs)
-    neq = [((0, 0, 1), 1.0)]
-    return eq, neq
-
-
-def _resend_tables(bs: optics.BeamSplitter):
-    # Resent photon re-enters the receiver arm alone: D0 with t, D1 with r.
-    # Alice resends on every attacked slot, captured photon or not.
-    r, t = bs.r, bs.t
-    neq = [((1, 0, 1), t), ((0, 1, 1), r)]
-    eq = [
-        ((1, 0, 1), t * t),           # captured, resent to D0
-        ((0, 1, 1), t * r),           # captured, resent to D1
-        ((2, 0, 0), r * r * t),       # uncaptured: arm-a D0 + resent D0
-        ((1, 1, 0), r * (r * r + t * t)),
-        ((0, 2, 0), r * t * r),
-    ]
-    return eq, neq
-
-
-def _slot_moments(tables) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of (beta0, beta1, alpha) for an equal eq/neq mix."""
-    eq, neq = tables
-    mean = np.zeros(3)
-    second = np.zeros(3)
-    for branch in (eq, neq):
-        for counts, prob in branch:
-            c = np.asarray(counts, dtype=float)
-            mean += 0.5 * prob * c
-            second += 0.5 * prob * c * c
-    return mean, second - mean * mean
-
-
-def _expected_totals(bs, n, n_attacked, attack_tables) -> tuple[dict, dict]:
-    mean_h, var_h = _slot_moments(_honest_tables(bs))
-    mean_a, var_a = _slot_moments(attack_tables)
-    mean = (n - n_attacked) * mean_h + n_attacked * mean_a
-    var = (n - n_attacked) * var_h + n_attacked * var_a
-    expected = dict(zip(DETECTORS, mean.tolist()))
-    std = dict(zip(DETECTORS, np.sqrt(var).tolist()))
-    return expected, std
+    attacked = [honest[0], [((0, 0, 1), 1.0)]]
+    if resend:
+        # Alice re-emits one photon per attacked slot, captured or not; it
+        # re-enters the receiver arm alone: D0 with t, D1 with r.
+        resent = [((1, 0, 0), bs.t), ((0, 1, 0), bs.r)]
+        attacked = [
+            [(tuple(x + y for x, y in zip(counts, extra)), prob * p_extra)
+             for counts, prob in table for extra, p_extra in resent]
+            for table in attacked
+        ]
+    return _SlotTables(honest + attacked)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized slot samplers for Alice's attacks
+# Alice's intercept attacks
 # ---------------------------------------------------------------------------
 
-def _sample_intercept_sequence(n, n0, bs, rng, resend):
+def _sample_intercept_sequence(n, n0, tables, rng):
     """One n-slot sequence with n0 attacked slots.
 
-    Returns (beta0, beta1, alpha, attacked) arrays; beta/alpha are click
-    counts per slot.
+    Returns each slot's row of the attack tables and the attacked mask.
     """
     a = protocol.alice_generate(int(rng.integers(0, 2)), 1, n, rng).bits[0]
     b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    eq = a == b
     attacked = np.zeros(n, dtype=bool)
-    attacked[rng.permutation(n)[:n0]] = True
-
-    beta0 = np.zeros(n, dtype=np.int16)
-    beta1 = np.zeros(n, dtype=np.int16)
-    alpha = np.zeros(n, dtype=np.int16)
-
-    honest = ~attacked
-    det = optics.sample_detectors(eq[honest], bs, rng)
-    beta0[honest] = det == 0
-    beta1[honest] = det == 1
-    alpha[honest] = det == 2
-
-    t = bs.t
-    att_neq = attacked & ~eq
-    att_eq = attacked & eq
-    if not resend:
-        alpha[att_neq] = 1
-        det = optics.sample_detectors(np.ones(int(att_eq.sum()), dtype=bool), bs, rng)
-        beta0[att_eq] = det == 0
-        beta1[att_eq] = det == 1
-        alpha[att_eq] = det == 2
-    else:
-        # Mismatched: deterministic capture, then resend (D0 w.p. t).
-        k = int(att_neq.sum())
-        alpha[att_neq] = 1
-        res_d0 = rng.random(k) < t
-        beta0[att_neq] += res_d0
-        beta1[att_neq] += ~res_d0
-        # Matched: projective capture w.p. t, else the photon collapses to
-        # the sender arm and returns; a photon is resent either way.
-        k = int(att_eq.sum())
-        captured = rng.random(k) < t
-        alpha[att_eq] = captured
-        arm_d0 = (rng.random(k) < bs.r) & ~captured
-        arm_d1 = ~captured & ~arm_d0
-        res_d0 = rng.random(k) < t
-        beta0[att_eq] += arm_d0.astype(np.int16) + res_d0.astype(np.int16)
-        beta1[att_eq] += arm_d1.astype(np.int16) + (~res_d0).astype(np.int16)
-    return beta0, beta1, alpha, attacked
+    attacked[rng.choice(n, n0, replace=False, shuffle=False)] = True
+    return tables.sample(2 * attacked + (a != b), rng), attacked
 
 
-def _alter_success_loop(n, n0, bs, rng, resend, trials):
+def _alter_success_loop(n, n0, tables, rng, resend, trials):
     """Empirical one-bit alter success over fresh attacked sequences.
 
     Per the attack analysis, success is graded on the flipped slot alone:
@@ -185,10 +173,8 @@ def _alter_success_loop(n, n0, bs, rng, resend, trials):
     successes = 0
     graded = 0
     for _ in range(trials):
-        beta0, beta1, alpha, attacked = _sample_intercept_sequence(
-            n, n0, bs, rng, resend
-        )
-        candidates = alpha == 0
+        row, attacked = _sample_intercept_sequence(n, n0, tables, rng)
+        candidates = tables.rows[row, 2] == 0
         if resend:
             candidates |= attacked
         idx = np.flatnonzero(candidates)
@@ -196,7 +182,8 @@ def _alter_success_loop(n, n0, bs, rng, resend, trials):
             continue
         pick = idx[rng.integers(0, idx.size)]
         graded += 1
-        if beta1[pick] == 0 and (beta0[pick] + beta1[pick]) > 0:
+        beta0, beta1, _ = tables.rows[row[pick]]
+        if beta0 > 0 and beta1 == 0:
             successes += 1
     if graded == 0:
         raise AttackImpossibleError("no flippable slot in any trial")
@@ -213,6 +200,42 @@ def resend_alter_probability(n: int, n0_resend: int) -> float:
     return 5 * n / (6 * n + 4 * n0_resend)
 
 
+def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
+    n = params.n
+    n0_key = "n0_resend" if resend else "n0"
+    if not 0 <= n0 <= n:
+        raise ParameterError(f"{n0_key} must lie in [0, n]")
+    if alter_trials < 0:
+        raise ParameterError("alter_trials must be >= 0")
+    tables = _attack_tables(params.bs, resend)
+    totals = np.zeros(3)
+    for _ in range(params.m):
+        row, _ = _sample_intercept_sequence(n, n0, tables, rng)
+        totals += tables.totals(row)
+    expected, std = tables.expected_totals(n, n0)
+    p_emp = None
+    if alter_trials:
+        p_emp = _alter_success_loop(n, n0, tables, rng, resend, alter_trials)
+    extras = {"total_clicks": int(totals.sum())}
+    if resend:
+        strategy = "alice-intercept-resend"
+        p_alter = resend_alter_probability(n, n0)
+        extras["expected_total_clicks"] = params.m * (n + n0)
+    else:
+        strategy = "alice-intercept"
+        p_alter = intercept_alter_probability(n, n0)
+    return AttackReport(
+        strategy=strategy,
+        params={"n": n, "m": params.m, n0_key: n0},
+        expected={k: params.m * v for k, v in expected.items()},
+        std={k: np.sqrt(params.m) * v for k, v in std.items()},
+        empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
+        p_alter_analytic=p_alter,
+        p_alter_empirical=p_emp,
+        extras=extras,
+    )
+
+
 def alice_intercept(
     n0: int,
     params: protocol.CommitmentParams,
@@ -220,30 +243,7 @@ def alice_intercept(
     alter_trials: int = 0,
 ) -> AttackReport:
     """Pure interception on n0 slots per sequence (absorb, never resend)."""
-    n = params.n
-    if not 0 <= n0 <= n:
-        raise ParameterError("n0 must lie in [0, n]")
-    bs = params.bs
-    totals = np.zeros(3)
-    for _ in range(params.m):
-        beta0, beta1, alpha, _ = _sample_intercept_sequence(n, n0, bs, rng, False)
-        totals += [beta0.sum(), beta1.sum(), alpha.sum()]
-    expected, std = _expected_totals(bs, n, n0, _intercept_tables(bs))
-    expected = {k: params.m * v for k, v in expected.items()}
-    std = {k: np.sqrt(params.m) * v for k, v in std.items()}
-    p_emp = None
-    if alter_trials:
-        p_emp = _alter_success_loop(n, n0, bs, rng, False, alter_trials)
-    return AttackReport(
-        strategy="alice-intercept",
-        params={"n": n, "m": params.m, "n0": n0},
-        expected=expected,
-        std=std,
-        empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
-        p_alter_analytic=intercept_alter_probability(n, n0),
-        p_alter_empirical=p_emp,
-        extras={"total_clicks": int(totals.sum())},
-    )
+    return _intercept_attack(n0, params, rng, alter_trials, resend=False)
 
 
 def alice_intercept_resend(
@@ -253,33 +253,7 @@ def alice_intercept_resend(
     alter_trials: int = 0,
 ) -> AttackReport:
     """Intercept on n0_resend slots, immediately re-emitting a photon."""
-    n = params.n
-    if not 0 <= n0_resend <= n:
-        raise ParameterError("n0_resend must lie in [0, n]")
-    bs = params.bs
-    totals = np.zeros(3)
-    for _ in range(params.m):
-        beta0, beta1, alpha, _ = _sample_intercept_sequence(
-            n, n0_resend, bs, rng, True
-        )
-        totals += [beta0.sum(), beta1.sum(), alpha.sum()]
-    expected, std = _expected_totals(bs, n, n0_resend, _resend_tables(bs))
-    expected = {k: params.m * v for k, v in expected.items()}
-    std = {k: np.sqrt(params.m) * v for k, v in std.items()}
-    p_emp = None
-    if alter_trials:
-        p_emp = _alter_success_loop(n, n0_resend, bs, rng, True, alter_trials)
-    return AttackReport(
-        strategy="alice-intercept-resend",
-        params={"n": n, "m": params.m, "n0_resend": n0_resend},
-        expected=expected,
-        std=std,
-        empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
-        p_alter_analytic=resend_alter_probability(n, n0_resend),
-        p_alter_empirical=p_emp,
-        extras={"total_clicks": int(totals.sum()),
-                "expected_total_clicks": params.m * (n + n0_resend)},
-    )
+    return _intercept_attack(n0_resend, params, rng, alter_trials, resend=True)
 
 
 def alice_optimal_alter(
@@ -320,13 +294,37 @@ def d2_detection_probability(
     params: protocol.CommitmentParams,
 ) -> float:
     """Probability that the D2-rate check trips when each slot clicks D2
-    with probability p_slot (exact binomial, across all m sequences)."""
+    with probability p_slot (exact binomial, across all m sequences).
+
+    A sequence fails with the binomial mass outside the window, summed term
+    by term in log space, so a small tail keeps its relative precision.
+    """
+    if not 0.0 <= p_slot <= 1.0:
+        raise ParameterError("p_slot must lie in [0, 1]")
     lo, hi = protocol.d2_window(params)
     n = params.n
-    pass_seq = binom.cdf(np.floor(hi), n, p_slot) - binom.cdf(
-        np.ceil(lo) - 1, n, p_slot
-    )
-    return float(1.0 - pass_seq ** params.m)
+    fail = math.fsum(_binomial_pmf(k, n, p_slot)
+                     for k in range(n + 1) if k < lo or k > hi)
+    if fail >= 1.0:
+        return 1.0
+    return -math.expm1(params.m * math.log1p(-fail))
+
+
+def _binomial_pmf(k: int, n: int, p: float) -> float:
+    if p in (0.0, 1.0):
+        return float(k == n * p)
+    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
+                    - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _honest_slot_rates(bs: optics.BeamSplitter) -> tuple[float, float]:
+    """Per-slot (confirmation, D2) rates with uniform bits on both sides:
+    Bob confirms on D1 or an inferred D2."""
+    dists = [optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1)]
+    d1, d2 = optics.Detector.D1, optics.Detector.D2
+    return (sum(d[d1] + d[d2] for d in dists) / 2.0,
+            sum(d[d2] for d in dists) / 2.0)
 
 
 def _detection_runs(sample_d2_flags, params, rng, runs):
@@ -336,6 +334,8 @@ def _detection_runs(sample_d2_flags, params, rng, runs):
     D2 clicks. Returns (detection frequency, mean per-slot D2 rate,
     per-sequence failure frequency).
     """
+    if runs < 1:
+        raise ParameterError("runs must be >= 1")
     lo, hi = protocol.d2_window(params)
     detected = 0
     seq_failures = 0
@@ -360,6 +360,7 @@ def bob_illegal_bs(
     if not 0.0 < t_prime < 1.0:
         raise ParameterError("t_prime must lie in (0, 1)")
     bs = optics.BeamSplitter.from_transmissivity(t_prime)
+    _, d2_rate = _honest_slot_rates(bs)
     shape = (params.m, params.n)
 
     def sample(rng):
@@ -370,11 +371,11 @@ def bob_illegal_bs(
     return AttackReport(
         strategy="bob-illegal-bs",
         params={"n": params.n, "m": params.m, "t_prime": t_prime, "runs": runs},
-        expected={"d2_slot_rate": t_prime / 2.0},
+        expected={"d2_slot_rate": d2_rate},
         empirical={"d2_slot_rate": rate},
         detection_probability=detect,
         detection_probability_analytic=d2_detection_probability(
-            t_prime / 2.0, params
+            d2_rate, params
         ),
         extras={"per_sequence_failure_rate": seq_fail},
     )
@@ -423,6 +424,8 @@ def bob_illegal_polarization(
     statistics reduce to honest ones with a re-randomized comparison bit;
     Bob gains no confirmation advantage.
     """
+    if runs < 1:
+        raise ParameterError("runs must be >= 1")
     shape = (params.m, params.n)
     confirm_sum = 0.0
     d2_sum = 0.0
@@ -432,12 +435,12 @@ def bob_illegal_polarization(
         det = optics.sample_detectors(a == b_eff, params.bs, rng)
         confirm_sum += float((det != 0).mean())   # D1 click or D2-inferred
         d2_sum += float((det == 2).mean())
-    p = (params.bs.r * params.bs.t + params.bs.t) / 2.0
+    confirm_rate, d2_rate = _honest_slot_rates(params.bs)
     return AttackReport(
         strategy="bob-illegal-polarization",
         params={"n": params.n, "m": params.m, "prob_v": pol.prob_v,
                 "runs": runs},
-        expected={"confirmation_rate": p, "d2_slot_rate": params.bs.t / 2.0},
+        expected={"confirmation_rate": confirm_rate, "d2_slot_rate": d2_rate},
         empirical={"confirmation_rate": confirm_sum / runs,
                    "d2_slot_rate": d2_sum / runs},
     )

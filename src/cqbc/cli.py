@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 
 import numpy as np
@@ -132,7 +134,7 @@ def cmd_table1(args) -> tuple[dict, list, list]:
     return results, rows, header
 
 
-def cmd_commit(args) -> tuple[dict, list, list]:
+def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
     params = protocol.CommitmentParams(
         m=args.m, n=args.n,
         bs=optics.BeamSplitter(args.r, 1.0 - args.r),
@@ -150,25 +152,21 @@ def cmd_commit(args) -> tuple[dict, list, list]:
         "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},
         "committed_bit": int(transcript.alice.committed_bit),
     }
-    rows = []
-    for i in range(params.m):
-        for j in range(params.n):
-            detector, time_bin = transcript._slot_label(i, j)
-            rows.append([i, j, int(transcript.alice.bits[i, j]),
-                         int(transcript.bob.bits[i, j]), detector, time_bin])
-    return results, rows, ["i", "j", "a", "b", "detector", "time_bin"]
+    return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 
 
-def _attack_alice_alter(args, rng) -> dict:
+def _attack_alice_alter(args, params, rng) -> dict:
     """Per-sequence alter success sampled by full commit/alter/verify
     loops; the m-sequence success probability is composed analytically
     (naive full-protocol sampling of a ~1e-6 event is hopeless)."""
+    if args.trials < 1:
+        raise ParameterError("alice-alter needs --trials >= 1")
     successes = 0
-    for trial in range(args.trials):
-        params = protocol.CommitmentParams(
-            m=1, n=args.n, master_seed=int(rng.integers(0, 2**62))
+    for _ in range(args.trials):
+        trial = dataclasses.replace(
+            params, m=1, master_seed=int(rng.integers(0, 2**62))
         )
-        transcript = protocol.run_commit_phase(params)
+        transcript = protocol.run_commit_phase(trial)
         target = 1 - int(transcript.alice.committed_bit)
         try:
             opening = adversary.alice_optimal_alter(transcript, target, rng)
@@ -177,8 +175,8 @@ def _attack_alice_alter(args, rng) -> dict:
         if protocol.bob_verify_opening(transcript, opening).accepted:
             successes += 1
     per_seq = successes / args.trials
-    probs = security.comparison_probs(optics.BeamSplitter.balanced())
-    analytic_seq = float((1 - probs.p) / (1 - probs.q))
+    probs = security.comparison_probs(params.bs)
+    analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
     return {
         "per_sequence_success": {"empirical": per_seq,
                                  "analytic": analytic_seq},
@@ -207,7 +205,7 @@ def cmd_attack(args) -> tuple[dict, list, list]:
                                                   alter_trials=args.trials)
         results = report.to_dict()
     elif args.strategy == "alice-alter":
-        results = _attack_alice_alter(args, rng)
+        results = _attack_alice_alter(args, params, rng)
     elif args.strategy == "bob-bs":
         report = adversary.bob_illegal_bs(args.t_prime, params, rng,
                                           runs=args.runs)

@@ -284,7 +284,10 @@ def outcome_distribution(
     """Closed-form per-slot detector probabilities.
 
     Mismatched bits leave the interferometer uninterrupted (D0 certain);
-    matched bits give (r^2, r*t, t) over (D0, D1, D2).
+    matched bits give (r^2, r*t, t) over (D0, D1, D2). This is the one
+    definition of the channel: the samplers, the attack tables and the
+    exact security probabilities all read it. A mirror with Fraction
+    coefficients yields exact rationals.
     """
     if a_bit != b_bit:
         return {Detector.D0: 1.0, Detector.D1: 0.0, Detector.D2: 0.0}
@@ -311,9 +314,11 @@ def sample_detectors(
     eq = np.asarray(eq, dtype=bool)
     u = rng.random(eq.shape)
     det = np.zeros(eq.shape, dtype=np.int8)
-    r2 = bs.r * bs.r
-    det[eq & (u >= r2) & (u < r2 + bs.r * bs.t)] = 1
-    det[eq & (u >= r2 + bs.r * bs.t)] = 2
+    matched = outcome_distribution(0, 0, bs)
+    d1_from = matched[Detector.D0]
+    d2_from = d1_from + matched[Detector.D1]
+    det[eq & (u >= d1_from) & (u < d2_from)] = 1
+    det[eq & (u >= d2_from)] = 2
     return det
 
 

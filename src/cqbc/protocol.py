@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .rng import DEFAULT_SEED, substream
 PHASE_COMMITTED = "committed"
 PHASE_OPENED = "opened"
 PHASE_ABORTED = "aborted"
+
+SLOT_ROW_HEADER = ("i", "j", "a", "b", "detector", "time_bin")
 
 # Substream tags (first path element after the master seed).
 _STREAM_BITS = 0
@@ -96,32 +98,6 @@ class VerifyResult:
         return self.accepted
 
 
-class HonestSlotModel:
-    """Default per-slot behavior: both parties follow the protocol.
-
-    Samples whole sequences at once from the closed-form per-slot detector
-    distribution; the amplitude-level `optics.run_slot` has the same
-    marginal (asserted by the Monte Carlo agreement tests) but is too slow
-    for the large batch runs.
-    """
-
-    def __init__(self, bs: optics.BeamSplitter):
-        self.bs = bs
-
-    def sample(
-        self,
-        a_bits: np.ndarray,
-        b_bits: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (beta0, beta1, alpha) click-count arrays, shape (m, n)."""
-        det = optics.sample_detectors(a_bits == b_bits, self.bs, rng)
-        beta0 = (det == 0).astype(np.int16)
-        beta1 = (det == 1).astype(np.int16)
-        alpha = (det == 2).astype(np.int16)
-        return beta0, beta1, alpha
-
-
 @dataclass
 class CommitmentTranscript:
     """Full per-slot record of one commit-phase execution.
@@ -156,28 +132,30 @@ class CommitmentTranscript:
             claimed_d2=self.alpha > 0,
         )
 
+    def slot_rows(self) -> Iterator[list]:
+        """Yield one record per slot, in SLOT_ROW_HEADER order."""
+        for i in range(self.params.m):
+            for j in range(self.params.n):
+                a_bit = int(self.alice.bits[i, j])
+                if self.alpha[i, j] > 0:
+                    detector = "D2"
+                    time_bin = (optics.TIME_BIN_LOOP if a_bit
+                                else optics.TIME_BIN_DIRECT)
+                elif self.beta1[i, j] > 0:
+                    detector, time_bin = "D1", optics.TIME_BIN_RETURN
+                elif self.beta0[i, j] > 0:
+                    detector, time_bin = "D0", optics.TIME_BIN_RETURN
+                else:
+                    detector, time_bin = "NONE", optics.TIME_BIN_NONE
+                yield [i, j, a_bit, int(self.bob.bits[i, j]), detector,
+                       time_bin]
+
     def to_csv(self, path) -> None:
         """Line-delimited slot records: i, j, a, b, detector, time_bin."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["i", "j", "a", "b", "detector", "time_bin"])
-            for i in range(self.params.m):
-                for j in range(self.params.n):
-                    detector, time_bin = self._slot_label(i, j)
-                    writer.writerow(
-                        [i, j, int(self.alice.bits[i, j]),
-                         int(self.bob.bits[i, j]), detector, time_bin]
-                    )
-
-    def _slot_label(self, i: int, j: int) -> tuple[str, int]:
-        if self.alpha[i, j] > 0:
-            a_bit = int(self.alice.bits[i, j])
-            return "D2", optics.TIME_BIN_LOOP if a_bit else optics.TIME_BIN_DIRECT
-        if self.beta1[i, j] > 0:
-            return "D1", optics.TIME_BIN_RETURN
-        if self.beta0[i, j] > 0:
-            return "D0", optics.TIME_BIN_RETURN
-        return "NONE", optics.TIME_BIN_NONE
+            writer.writerow(SLOT_ROW_HEADER)
+            writer.writerows(self.slot_rows())
 
     def summary(self) -> dict:
         m, n = self.params.m, self.params.n
@@ -213,10 +191,9 @@ def alice_check_d2(transcript: CommitmentTranscript,
     +/- sigma-multiple binomial window around n/4. Returns the (m,) bool
     pass vector; the protocol aborts if any entry is False.
     """
-    n = params.n
+    lo, hi = d2_window(params)
     counts = (transcript.alpha > 0).sum(axis=1)
-    half_width = params.d2_check_sigma * np.sqrt(n * 0.25 * 0.75)
-    return np.abs(counts - n / 4.0) <= half_width
+    return (counts >= lo) & (counts <= hi)
 
 
 def d2_window(params: CommitmentParams) -> tuple[float, float]:
@@ -229,26 +206,23 @@ def d2_window(params: CommitmentParams) -> tuple[float, float]:
 def run_commit_phase(
     params: CommitmentParams,
     b: Optional[int] = None,
-    alice_strategy=None,
-    bob_strategy=None,
 ) -> CommitmentTranscript:
-    """Execute the commit phase and Alice's D2-rate check.
+    """Execute the honest commit phase and Alice's D2-rate check.
 
-    Strategies default to honest. A strategy object must expose
-    sample(a_bits, b_bits, rng) -> (beta0, beta1, alpha); running both an
-    Alice and a Bob attack at once is unsupported.
+    Whole sequences are sampled at once from the closed-form per-slot
+    detector distribution; the amplitude-level `optics.run_slot` has the
+    same marginal (asserted by the Monte Carlo agreement tests) but is too
+    slow for the large batch runs.
     """
-    if alice_strategy is not None and bob_strategy is not None:
-        raise ParameterError("simultaneous two-sided attacks are unsupported")
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))
     alice = alice_generate(b, params.m, params.n, bits_rng)
     bob = bob_generate(params.m, params.n, bits_rng)
 
-    model = alice_strategy or bob_strategy or HonestSlotModel(params.bs)
     slot_rng = substream(params.master_seed, _STREAM_SLOTS)
-    beta0, beta1, alpha = model.sample(alice.bits, bob.bits, slot_rng)
+    det = optics.sample_detectors(alice.bits == bob.bits, params.bs, slot_rng)
+    beta0, beta1, alpha = ((det == code).astype(np.int16) for code in range(3))
 
     transcript = CommitmentTranscript(
         params=params,

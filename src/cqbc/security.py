@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import optics
+from . import optics, protocol
 from .errors import InfeasibleTargetError, ParameterError
 
 
@@ -47,14 +47,20 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     """
     if not 0.0 < bs.r < 1.0:
         raise ParameterError("degenerate beam splitter: need 0 < r < 1")
-    r = Fraction(bs.r)
-    t = Fraction(bs.t)
-    p = (r * t + t) / 2
-    q = t / 2
+    exact = optics.BeamSplitter(Fraction(bs.r), Fraction(bs.t))
+    # Each slot's bits match or differ with probability 1/2.
+    eq, neq = (
+        {det: Fraction(prob) for det, prob
+         in optics.outcome_distribution(0, b_bit, exact).items()}
+        for b_bit in (0, 1)
+    )
+    d0, d1, d2 = optics.Detector.D0, optics.Detector.D1, optics.Detector.D2
+    p = (eq[d1] + eq[d2] + neq[d1] + neq[d2]) / 2
+    q = (eq[d2] + neq[d2]) / 2
     # On a D0 click Bob bets the bits differed; that guess is right on the
-    # whole mismatched mass, adding 1/2 on top of his confirmed slots.
-    p_prime = p + Fraction(1, 2)
-    posterior = 1 / (1 + r * r)
+    # whole mismatched D0 mass, on top of his confirmed slots.
+    p_prime = p + neq[d0] / 2
+    posterior = neq[d0] / (neq[d0] + eq[d0])
     assert 0 <= q < p < p_prime < 1
     return ComparisonProbs(p=p, p_prime=p_prime, q=q,
                            posterior_neq_given_d0=posterior)
@@ -255,9 +261,7 @@ def concealing_tv_monte_carlo(
     counts = np.zeros((2, n_views), dtype=np.int64)
     weights = 6 ** np.arange(n, dtype=np.int64)
     for b_commit in (0, 1):
-        bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
-        parity = np.bitwise_xor.reduce(bits[:, :-1], axis=1)
-        bits[:, -1] = parity ^ b_commit
+        bits = protocol.alice_generate(b_commit, samples, n, rng).bits
         b_bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
         det = optics.sample_detectors(bits == b_bits, bs, rng)
         codes = (b_bits.astype(np.int64) * 3 + det) @ weights

@@ -1,6 +1,7 @@
 """Attack simulators versus their closed-form predictions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ def test_d2_detection_probability_monotone_in_m():
     d70 = adversary.d2_detection_probability(0.4, p70)
     assert d70 > d1
     assert d70 == pytest.approx(1.0 - (1.0 - d1) ** 70, rel=1e-9)
+
+
+def _exact_d2_detection(p_slot, params):
+    """1 - (1 - F)^m with F the binomial mass outside the D2 window, in
+    exact integers (all mass minus the window's); F is rounded to a float
+    once before the power."""
+    lo, hi = protocol.d2_window(params)
+    n = params.n
+    num, den = Fraction(p_slot).as_integer_ratio()
+    inside = sum(math.comb(n, k) * num**k * (den - num)**(n - k)
+                 for k in range(n + 1) if lo <= k <= hi)
+    fail = Fraction((den**n - inside) / den**n)
+    return float(1 - (1 - fail) ** params.m)
+
+
+@pytest.mark.parametrize("n", [2, 16, 32, 130, 1000])
+@pytest.mark.parametrize("p_slot", [0.0, 0.01, 0.05, 0.25, 0.3, 0.375, 0.4,
+                                    0.49, 0.9, 1.0])
+def test_d2_detection_probability_matches_exact_sum(n, p_slot):
+    for m in (1, 70):
+        p = protocol.CommitmentParams(m=m, n=n)
+        assert adversary.d2_detection_probability(p_slot, p) == pytest.approx(
+            _exact_d2_detection(p_slot, p), rel=1e-9, abs=0.0)
 
 
 def test_bob_illegal_bs_detected():

@@ -2,6 +2,10 @@
 determinism, CSV export, and config-file layering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,15 @@ def test_commit_honest_accepts(capsys, tmp_path):
     assert len(lines) == 1 + 2 * 16
 
 
+def test_commit_csv_report_matches_transcript(capsys, tmp_path):
+    out, transcript = tmp_path / "out.csv", tmp_path / "transcript.csv"
+    code, _, err = run(capsys, "commit", "--m", "3", "--n", "16", "--seed", "5",
+                       "--format", "csv", "--out", str(out),
+                       "--transcript", str(transcript))
+    assert code == cli.EXIT_OK, err
+    assert out.read_bytes() == transcript.read_bytes()
+
+
 def test_commit_wrong_open_bit_rejected(capsys):
     report = run_json(capsys, "commit", "--m", "2", "--n", "16", "--bit", "0",
                       "--open-bit", "1", "--seed", "5")
@@ -124,6 +137,19 @@ def test_attack_alter(capsys):
     )
 
 
+def test_attack_alter_follows_mirror(capsys):
+    report = run_json(capsys, "attack", "--strategy", "alice-alter",
+                      "--m", "2", "--n", "32", "--trials", "300", "--r", "0.3",
+                      "--seed", "10")
+    per_seq = report["results"]["per_sequence_success"]
+    # (1 - p) / (1 - q) with p = (rt + t) / 2 = 0.455 and q = t / 2 = 0.35
+    assert per_seq["analytic"] == pytest.approx(0.545 / 0.65)
+    assert round(per_seq["analytic"], 5) == 0.83846
+    assert abs(per_seq["empirical"] - per_seq["analytic"]) < 0.1
+    assert report["results"]["protocol_success_m_sequences"]["analytic"] == (
+        pytest.approx((0.545 / 0.65) ** 2))
+
+
 def test_attack_bob_bs(capsys):
     report = run_json(capsys, "attack", "--strategy", "bob-bs",
                       "--m", "70", "--n", "130", "--t-prime", "0.8",
@@ -144,6 +170,26 @@ def test_attack_bob_polarization(capsys):
                       "--m", "10", "--n", "130", "--runs", "10", "--seed", "13")
     emp = report["results"]["empirical"]["confirmation_rate"]
     assert emp == pytest.approx(0.375, abs=0.02)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--strategy", "alice-alter", "--trials", "0"),
+    ("--strategy", "bob-bs", "--runs", "0"),
+    ("--strategy", "bob-bs", "--runs", "-1"),
+    ("--strategy", "bob-multiphoton", "--runs", "0"),
+    ("--strategy", "bob-multiphoton", "--runs", "-1"),
+    ("--strategy", "bob-polarization", "--runs", "0"),
+    ("--strategy", "bob-polarization", "--runs", "-1"),
+    ("--strategy", "alice-intercept", "--n", "100", "--n0", "10",
+     "--trials", "-1"),
+    ("--strategy", "alice-intercept-resend", "--n", "100", "--n0", "10",
+     "--trials", "-1"),
+])
+def test_attack_bad_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "attack", *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_attack_bad_n0_is_usage_error(capsys):
@@ -219,3 +265,13 @@ def test_csv_unsupported_for_params_like_reports(capsys):
                        "--format", "csv")
     assert code == cli.EXIT_USAGE
     assert "CSV" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = "import sys, cqbc.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -89,14 +89,6 @@ def test_commit_phase_detector_statistics():
     assert ((t.beta0 + t.beta1 + t.alpha) == 1).all()
 
 
-def test_commit_phase_rejects_two_sided_attack():
-    params = make_params()
-    model = protocol.HonestSlotModel(params.bs)
-    with pytest.raises(ParameterError):
-        protocol.run_commit_phase(params, alice_strategy=model,
-                                  bob_strategy=model)
-
-
 def test_d2_check_window_and_abort():
     params = make_params(m=2, n=16, master_seed=9)
     t = protocol.run_commit_phase(params, b=0)
