@@ -24,6 +24,7 @@ import numpy as np
 
 from . import optics, protocol
 from .errors import AttackImpossibleError, ParameterError
+from .rng import _chunks
 
 DETECTORS = ("D0", "D1", "D2")
 
@@ -82,32 +83,34 @@ def _channel_table(a_bit: int, b_bit: int, bs: optics.BeamSplitter) -> list:
 class _SlotTables:
     """The four slot tables of one attack, laid out for sampling.
 
-    Table k owns the interval [k, k + 1) of one sorted array of cumulative
-    probabilities, so one searchsorted of k + u, u uniform on [0, 1), draws
-    a row of table k for every slot at once.
+    Tables are padded to one width: thresholds[j, k] is the cumulative
+    probability of the first j + 1 rows of table k, and 1.0 past its last
+    row, which no uniform on [0, 1) reaches. A slot of table k with uniform
+    u draws row offset[k] + #{j : u >= thresholds[j, k]}.
     """
 
     def __init__(self, tables: list):
         self.tables = tables
         self.rows = np.array([c for table in tables for c, _ in table],
                              dtype=np.int16)
-        edges = []
+        sizes = [len(table) for table in tables]
+        self.offset = np.cumsum([0] + sizes[:-1])
+        self.thresholds = np.ones((max(sizes) - 1, len(tables)))
         for key, table in enumerate(tables):
-            cum = np.cumsum([prob for _, prob in table])
-            cum[-1] = 1.0
-            edges.append(key + cum)
-        self.edges = np.concatenate(edges)
-        # k + u can round up to k + 1, which belongs to the next table.
-        self.top = np.nextafter(np.arange(1.0, len(tables) + 1), 0.0)
+            cum = np.cumsum([prob for _, prob in table])[:-1]
+            self.thresholds[:len(cum), key] = cum
 
     def sample(self, key: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Indices into rows, one drawn per slot from table key[i]."""
-        u = np.minimum(key + rng.random(key.shape), self.top[key])
-        return np.searchsorted(self.edges, u, side="right")
+        u = rng.random(key.shape)
+        row = self.offset[key]
+        for threshold in self.thresholds:
+            row += u >= threshold[key]
+        return row
 
     def totals(self, row: np.ndarray) -> np.ndarray:
         """Summed (beta0, beta1, alpha) clicks of the sampled rows."""
-        return np.bincount(row, minlength=len(self.rows)) @ self.rows
+        return np.bincount(row.ravel(), minlength=len(self.rows)) @ self.rows
 
     def expected_totals(self, n: int, n_attacked: int) -> tuple[dict, dict]:
         """Mean and standard deviation of the (D0, D1, D2) click totals of
@@ -151,15 +154,19 @@ def _attack_tables(bs: optics.BeamSplitter, resend: bool) -> _SlotTables:
 # Alice's intercept attacks
 # ---------------------------------------------------------------------------
 
-def _sample_intercept_sequence(n, n0, tables, rng):
-    """One n-slot sequence with n0 attacked slots.
+def _sample_intercept_sequences(committed, trials, n, n0, tables, rng):
+    """`trials` n-slot sequences of Alice's, committing to `committed` (one
+    bit, or one per sequence), each with its own uniform n0-subset of
+    attacked slots.
 
-    Returns each slot's row of the attack tables and the attacked mask.
+    Returns each slot's row of the attack tables and the attacked mask,
+    both (trials, n).
     """
-    a = protocol.alice_generate(int(rng.integers(0, 2)), 1, n, rng).bits[0]
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    attacked = np.zeros(n, dtype=bool)
-    attacked[rng.choice(n, n0, replace=False, shuffle=False)] = True
+    a = protocol.alice_generate(committed, trials, n, rng).bits
+    b = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
+    attacked = np.zeros((trials, n), dtype=bool)
+    for mask in attacked:
+        mask[rng.choice(n, n0, replace=False, shuffle=False)] = True
     return tables.sample(2 * attacked + (a != b), rng), attacked
 
 
@@ -170,21 +177,25 @@ def _alter_success_loop(n, n0, tables, rng, resend, trials):
     Alice flips one bit she cannot tell Bob confirmed, and succeeds iff
     Bob's record of that slot does not contradict the flip.
     """
+    silent = tables.rows[:, 2] == 0
+    unflagged = (tables.rows[:, 0] > 0) & (tables.rows[:, 1] == 0)
     successes = 0
     graded = 0
-    for _ in range(trials):
-        row, attacked = _sample_intercept_sequence(n, n0, tables, rng)
-        candidates = tables.rows[row, 2] == 0
+    for chunk in _chunks(trials, n):
+        # Every trial is a fresh one-sequence commitment.
+        committed = rng.integers(0, 2, size=chunk, dtype=np.uint8)
+        row, attacked = _sample_intercept_sequences(committed, chunk, n, n0,
+                                                    tables, rng)
+        candidates = silent[row]
         if resend:
             candidates |= attacked
-        idx = np.flatnonzero(candidates)
-        if idx.size == 0:
-            continue
-        pick = idx[rng.integers(0, idx.size)]
-        graded += 1
-        beta0, beta1, _ = tables.rows[row[pick]]
-        if beta0 > 0 and beta1 == 0:
-            successes += 1
+        # The k-th candidate of each trial, k uniform below its count.
+        count = candidates.sum(axis=1)
+        k = rng.integers(0, np.maximum(count, 1))
+        pick = np.argmax(np.cumsum(candidates, axis=1) > k[:, None], axis=1)
+        flipped = row[np.arange(chunk), pick]
+        graded += int(np.count_nonzero(count))
+        successes += int(np.count_nonzero(unflagged[flipped] & (count > 0)))
     if graded == 0:
         raise AttackImpossibleError("no flippable slot in any trial")
     return successes / graded
@@ -209,8 +220,10 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         raise ParameterError("alter_trials must be >= 0")
     tables = _attack_tables(params.bs, resend)
     totals = np.zeros(3)
-    for _ in range(params.m):
-        row, _ = _sample_intercept_sequence(n, n0, tables, rng)
+    committed = int(rng.integers(0, 2))   # the m sequences of one commitment
+    for chunk in _chunks(params.m, n):
+        row, _ = _sample_intercept_sequences(committed, chunk, n, n0, tables,
+                                             rng)
         totals += tables.totals(row)
     expected, std = tables.expected_totals(n, n0)
     p_emp = None
@@ -330,24 +343,31 @@ def _honest_slot_rates(bs: optics.BeamSplitter) -> tuple[float, float]:
 def _detection_runs(sample_d2_flags, params, rng, runs):
     """Empirical trip rate of the D2 check over independent commit runs.
 
-    sample_d2_flags(rng) must return an (m, n) boolean array of per-slot
-    D2 clicks. Returns (detection frequency, mean per-slot D2 rate,
-    per-sequence failure frequency).
+    sample_d2_flags(rng, shape) must return a boolean array of per-slot D2
+    clicks of the given (runs, m, n) shape. Returns (detection frequency,
+    mean per-slot D2 rate, per-sequence failure frequency).
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
     lo, hi = protocol.d2_window(params)
+    m, n = params.m, params.n
     detected = 0
     seq_failures = 0
-    rate_sum = 0.0
-    for _ in range(runs):
-        flags = sample_d2_flags(rng)
-        counts = flags.sum(axis=1)
+    d2_clicks = 0
+    for chunk in _chunks(runs, m * n):
+        counts = sample_d2_flags(rng, (chunk, m, n)).sum(axis=2)
         bad = (counts < lo) | (counts > hi)
-        seq_failures += int(bad.sum())
-        detected += bool(bad.any())
-        rate_sum += float(flags.mean())
-    return detected / runs, rate_sum / runs, seq_failures / (runs * params.m)
+        seq_failures += int(np.count_nonzero(bad))
+        detected += int(np.count_nonzero(bad.any(axis=1)))
+        d2_clicks += int(counts.sum())
+    return (detected / runs, d2_clicks / (runs * m * n),
+            seq_failures / (runs * m))
+
+
+def _uniform_matches(rng, shape):
+    """Slots where two independent uniform bits agree."""
+    return (rng.integers(0, 2, size=shape, dtype=np.uint8)
+            == rng.integers(0, 2, size=shape, dtype=np.uint8))
 
 
 def bob_illegal_bs(
@@ -361,11 +381,10 @@ def bob_illegal_bs(
         raise ParameterError("t_prime must lie in (0, 1)")
     bs = optics.BeamSplitter.from_transmissivity(t_prime)
     _, d2_rate = _honest_slot_rates(bs)
-    shape = (params.m, params.n)
 
-    def sample(rng):
-        eq = rng.integers(0, 2, size=shape) == rng.integers(0, 2, size=shape)
-        return optics.sample_detectors(eq, bs, rng) == 2
+    def sample(rng, shape):
+        return optics.sample_detectors(_uniform_matches(rng, shape), bs,
+                                       rng) == 2
 
     detect, rate, seq_fail = _detection_runs(sample, params, rng, runs)
     return AttackReport(
@@ -391,12 +410,11 @@ def bob_multiphoton(
     if k < 2:
         raise ParameterError("multi-photon attack needs k >= 2")
     t = params.bs.t
-    shape = (params.m, params.n)
     p_any_capture = 1.0 - (1.0 - t) ** k
 
-    def sample(rng):
-        eq = rng.integers(0, 2, size=shape) == rng.integers(0, 2, size=shape)
-        return eq & (rng.random(shape) < p_any_capture)
+    def sample(rng, shape):
+        return _uniform_matches(rng, shape) & (rng.random(shape)
+                                               < p_any_capture)
 
     detect, rate, seq_fail = _detection_runs(sample, params, rng, runs)
     return AttackReport(
@@ -426,21 +444,22 @@ def bob_illegal_polarization(
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
-    shape = (params.m, params.n)
-    confirm_sum = 0.0
-    d2_sum = 0.0
-    for _ in range(runs):
+    m, n = params.m, params.n
+    confirmed = 0
+    d2_clicks = 0
+    for chunk in _chunks(runs, m * n):
+        shape = (chunk, m, n)
         a = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        b_eff = (rng.random(shape) < pol.prob_v).astype(np.uint8)
+        b_eff = rng.random(shape) < pol.prob_v
         det = optics.sample_detectors(a == b_eff, params.bs, rng)
-        confirm_sum += float((det != 0).mean())   # D1 click or D2-inferred
-        d2_sum += float((det == 2).mean())
+        confirmed += int(np.count_nonzero(det))   # D1 click or D2-inferred
+        d2_clicks += int(np.count_nonzero(det == 2))
     confirm_rate, d2_rate = _honest_slot_rates(params.bs)
     return AttackReport(
         strategy="bob-illegal-polarization",
         params={"n": params.n, "m": params.m, "prob_v": pol.prob_v,
                 "runs": runs},
         expected={"confirmation_rate": confirm_rate, "d2_slot_rate": d2_rate},
-        empirical={"confirmation_rate": confirm_sum / runs,
-                   "d2_slot_rate": d2_sum / runs},
+        empirical={"confirmation_rate": confirmed / (runs * m * n),
+                   "d2_slot_rate": d2_clicks / (runs * m * n)},
     )

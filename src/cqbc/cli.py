@@ -315,14 +315,42 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ParameterError("config file must hold a JSON object")
-        parser.set_defaults(**config)
+        subparsers = [sub for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      for sub in action.choices.values()]
+        _check_config(config, [parser] + subparsers)
         # subcommand options carry their own defaults, which would shadow
         # the config values; push the config into every subparser as well
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    sub.set_defaults(**config)
+        for p in [parser] + subparsers:
+            p.set_defaults(**config)
     return parser.parse_args(argv)
+
+
+# The JSON values an option of each argparse type accepts.
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _check_config(config: dict, parsers) -> None:
+    """Reject config keys that name no option, and values that the option
+    would not accept from the command line."""
+    options: dict = {}
+    for p in parsers:
+        for action in p._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                options.setdefault(action.dest, []).append(action)
+    for key, value in config.items():
+        if key not in options:
+            raise ParameterError(f"config key {key!r} is no option")
+        for action in options[key]:
+            if value is None:
+                ok = action.default is None
+            else:
+                ok = (not isinstance(value, bool)
+                      and isinstance(value, _CONFIG_TYPES[action.type])
+                      and (action.choices is None or value in action.choices))
+            if not ok:
+                raise ParameterError(
+                    f"config value {value!r} does not fit option {key!r}")
 
 
 def main(argv=None) -> int:
@@ -334,6 +362,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         results, rows, header = args.func(args)

@@ -20,6 +20,7 @@ Conventions (pinned, see module tests):
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -185,27 +186,56 @@ def apply_switch(
     otherwise the bin's amplitude is zeroed and the remainder renormalized.
     Closed bins pass untouched (mirror reflection, phase preserved).
     """
+    clicks, survivor = _switch_branches(state, schedule)
+    click = _draw_click(clicks, rng)
+    if click is not None:
+        return VACUUM, click
+    return survivor, None
+
+
+def _switch_branches(
+    state: PhotonState,
+    schedule: SwitchSchedule,
+) -> tuple[tuple, PhotonState]:
+    """The deterministic part of apply_switch.
+
+    Returns one (probability, D2 outcome) pair per open bin that holds
+    amplitude, in bin order, each probability conditioned on no earlier
+    click, and the renormalized state that survives every measurement
+    (VACUUM when the measurements covered all of it).
+    """
     state.check_normalized()
     amps = [state.amp_b_direct, state.amp_b_loop]
     norm = 1.0
+    clicks = []
     for time_bin in (TIME_BIN_DIRECT, TIME_BIN_LOOP):
-        if time_bin not in schedule.open_bins:
+        # Once a bin held (numerically) all the amplitude, none is left.
+        if time_bin not in schedule.open_bins or norm <= NORM_TOL:
             continue
         p_here = abs(amps[time_bin]) ** 2 / norm
         if p_here <= 0.0:
             continue
-        if rng.random() < p_here:
-            return VACUUM, DetectionOutcome(Detector.D2, time_bin)
+        clicks.append((p_here, DetectionOutcome(Detector.D2, time_bin)))
         amps[time_bin] = 0.0
         norm *= 1.0 - p_here
     if norm <= NORM_TOL:
         # Measurement covered (numerically) all remaining amplitude.
-        return VACUUM, None
+        return tuple(clicks), VACUUM
     scale = 1.0 / math.sqrt(norm)
-    return (
-        PhotonState(state.amp_a * scale, amps[0] * scale, amps[1] * scale),
-        None,
+    return tuple(clicks), PhotonState(
+        state.amp_a * scale, amps[0] * scale, amps[1] * scale
     )
+
+
+def _draw_click(
+    clicks: tuple,
+    rng: np.random.Generator,
+) -> Optional[DetectionOutcome]:
+    """One uniform per measurement, in order, until one clicks."""
+    for p_here, click in clicks:
+        if rng.random() < p_here:
+            return click
+    return None
 
 
 def bs_return(state: PhotonState, bs: BeamSplitter) -> tuple[float, float]:
@@ -236,24 +266,42 @@ def collapse_at_pbs(pol: Polarization, rng: np.random.Generator) -> int:
     return int(rng.random() < pol.prob_v)
 
 
+_NO_CLICK = DetectionOutcome(Detector.NONE, TIME_BIN_NONE)
+_RETURN_D0 = DetectionOutcome(Detector.D0, TIME_BIN_RETURN)
+_RETURN_D1 = DetectionOutcome(Detector.D1, TIME_BIN_RETURN)
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_branches(a_bit: int, b_bit: int,
+                   bs: BeamSplitter) -> tuple[tuple, float, float]:
+    """The switch's click branches of an honest slot, then the return
+    pass's (P_D0, P_D0 + P_D1) after no click."""
+    state = bs_forward(Polarization.from_bit(b_bit), bs)
+    clicks, survivor = _switch_branches(state, SwitchSchedule.honest(a_bit))
+    p0, p1 = bs_return(survivor, bs)
+    return clicks, p0, p0 + p1
+
+
 def run_slot(
     a_bit: int,
     b_bit: int,
     bs: BeamSplitter,
     rng: np.random.Generator,
 ) -> DetectionOutcome:
-    """One honest slot: forward pass, switch gating, return pass, sampling."""
-    state = bs_forward(Polarization.from_bit(b_bit), bs)
-    state, click = apply_switch(state, SwitchSchedule.honest(a_bit), rng)
+    """One honest slot: forward pass, switch gating, return pass, sampling.
+
+    The amplitudes depend on (a_bit, b_bit, bs) alone and are computed once
+    per combination; each call draws from them in the order of the steps.
+    """
+    clicks, p_d0, p_total = _slot_branches(a_bit, b_bit, bs)
+    click = _draw_click(clicks, rng)
     if click is not None:
         return click
-    p0, p1 = bs_return(state, bs)
-    total = p0 + p1
-    if total <= 0.0:
-        return DetectionOutcome(Detector.NONE, TIME_BIN_NONE)
-    if rng.random() * total < p0:
-        return DetectionOutcome(Detector.D0, TIME_BIN_RETURN)
-    return DetectionOutcome(Detector.D1, TIME_BIN_RETURN)
+    if p_total <= 0.0:
+        return _NO_CLICK
+    if rng.random() * p_total < p_d0:
+        return _RETURN_D0
+    return _RETURN_D1
 
 
 def run_slot_multiphoton(
@@ -313,12 +361,12 @@ def sample_detectors(
     """
     eq = np.asarray(eq, dtype=bool)
     u = rng.random(eq.shape)
-    det = np.zeros(eq.shape, dtype=np.int8)
     matched = outcome_distribution(0, 0, bs)
     d1_from = matched[Detector.D0]
     d2_from = d1_from + matched[Detector.D1]
-    det[eq & (u >= d1_from) & (u < d2_from)] = 1
-    det[eq & (u >= d2_from)] = 2
+    # d1_from <= d2_from, so the code is the count of thresholds u reaches.
+    det = (u >= d1_from).view(np.int8) + (u >= d2_from).view(np.int8)
+    det *= eq
     return det
 
 

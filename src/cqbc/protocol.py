@@ -26,6 +26,11 @@ PHASE_ABORTED = "aborted"
 
 SLOT_ROW_HEADER = ("i", "j", "a", "b", "detector", "time_bin")
 
+# Largest m * n that run_commit_phase accepts. A commit and its
+# verification peak at about 15 bytes a slot, so this cap keeps one near
+# 250 MB; larger requests are refused before anything is allocated.
+MAX_COMMIT_SLOTS = 1 << 24
+
 # Substream tags (first path element after the master seed).
 _STREAM_BITS = 0
 _STREAM_SLOTS = 1
@@ -64,8 +69,13 @@ class BitSequenceSet:
         return np.bitwise_xor.reduce(self.bits, axis=1)
 
 
-def alice_generate(b: int, m: int, n: int, rng: np.random.Generator) -> BitSequenceSet:
-    """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
+def alice_generate(b: int | np.ndarray, m: int, n: int,
+                   rng: np.random.Generator) -> BitSequenceSet:
+    """Draw m sequences uniformly from the 2^(n-1) strings of parity b.
+
+    b is one committed bit, or an (m,) array of them, one per sequence, for
+    batches of independent single-sequence commitments.
+    """
     if n < 2:
         raise ParameterError("n must be >= 2")
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
@@ -188,7 +198,7 @@ def alice_check_d2(transcript: CommitmentTranscript,
     """Per-sequence D2-rate check.
 
     A sequence passes iff its count of D2-click slots sits inside the
-    +/- sigma-multiple binomial window around n/4. Returns the (m,) bool
+    +/- sigma-multiple binomial window of d2_window. Returns the (m,) bool
     pass vector; the protocol aborts if any entry is False.
     """
     lo, hi = d2_window(params)
@@ -197,9 +207,15 @@ def alice_check_d2(transcript: CommitmentTranscript,
 
 
 def d2_window(params: CommitmentParams) -> tuple[float, float]:
-    """The acceptance interval for per-sequence D2 counts."""
-    center = params.n / 4.0
-    half_width = params.d2_check_sigma * np.sqrt(params.n * 0.25 * 0.75)
+    """The acceptance interval for per-sequence D2 counts.
+
+    An honest slot clicks D2 with probability p = t/2 for the agreed
+    mirror (its bits match half the time), so the window is
+    n*p +/- sigma * sqrt(n*p*(1 - p)); the balanced mirror gives n/4.
+    """
+    p = params.bs.t / 2.0
+    center = params.n * p
+    half_width = params.d2_check_sigma * np.sqrt(params.n * p * (1.0 - p))
     return center - half_width, center + half_width
 
 
@@ -212,8 +228,13 @@ def run_commit_phase(
     Whole sequences are sampled at once from the closed-form per-slot
     detector distribution; the amplitude-level `optics.run_slot` has the
     same marginal (asserted by the Monte Carlo agreement tests) but is too
-    slow for the large batch runs.
+    slow for the large batch runs. More than MAX_COMMIT_SLOTS slots are a
+    ParameterError.
     """
+    if params.m * params.n > MAX_COMMIT_SLOTS:
+        raise ParameterError(
+            f"m * n = {params.m * params.n} slots exceeds the commit limit "
+            f"of {MAX_COMMIT_SLOTS}")
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))

@@ -8,6 +8,8 @@ executed in parallel without shared state.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 # Fixed documented default seed for CLI reproducibility.
@@ -21,3 +23,18 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     (sequence index, slot index, photon index).
     """
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
+
+
+# Slots one Monte Carlo chunk may hold. Batched samplers draw whole chunks
+# one after another from the caller's Generator, so a run's draws depend on
+# this size; it is fixed, so equal seeds still give equal results.
+_CHUNK_SLOTS = 1 << 16
+
+
+def _chunks(items: int, slots_per_item: int) -> Iterator[int]:
+    """Sizes of consecutive chunks covering `items` items (trials, runs or
+    samples) of `slots_per_item` slots each: at most _CHUNK_SLOTS slots a
+    chunk, but never less than one item."""
+    per_chunk = max(1, _CHUNK_SLOTS // slots_per_item)
+    for start in range(0, items, per_chunk):
+        yield min(per_chunk, items - start)

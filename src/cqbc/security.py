@@ -21,6 +21,7 @@ import numpy as np
 
 from . import optics, protocol
 from .errors import InfeasibleTargetError, ParameterError
+from .rng import _chunks
 
 
 @dataclass(frozen=True)
@@ -259,13 +260,18 @@ def concealing_tv_monte_carlo(
         raise ParameterError("view space too large for bucketed estimation")
     n_views = 6 ** n  # (b_bit, outcome) in {0,1} x {0,1,2} per slot
     counts = np.zeros((2, n_views), dtype=np.int64)
-    weights = 6 ** np.arange(n, dtype=np.int64)
     for b_commit in (0, 1):
-        bits = protocol.alice_generate(b_commit, samples, n, rng).bits
-        b_bits = rng.integers(0, 2, size=(samples, n), dtype=np.uint8)
-        det = optics.sample_detectors(bits == b_bits, bs, rng)
-        codes = (b_bits.astype(np.int64) * 3 + det) @ weights
-        counts[b_commit] = np.bincount(codes, minlength=n_views)
+        for chunk in _chunks(samples, n):
+            bits = protocol.alice_generate(b_commit, chunk, n, rng).bits
+            b_bits = rng.integers(0, 2, size=(chunk, n), dtype=np.uint8)
+            det = optics.sample_detectors(bits == b_bits, bs, rng)
+            slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
+            # The view's index: its slot codes as base-6 digits.
+            views = np.zeros(chunk, dtype=np.intp)
+            for column in slot_codes.T:
+                views *= 6
+                views += column
+            counts[b_commit] += np.bincount(views, minlength=n_views)
     freq = counts / samples
     return 0.5 * float(np.abs(freq[0] - freq[1]).sum())
 

@@ -1,12 +1,14 @@
 """Attack simulators versus their closed-form predictions."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cqbc import adversary, optics, protocol
+from cqbc import rng as rng_module
 from cqbc.errors import AttackImpossibleError, ParameterError
 from cqbc.rng import substream
 
@@ -171,6 +173,12 @@ def test_d2_detection_probability_honest_rate_is_small():
     assert adversary.d2_detection_probability(0.25, p) < 1e-3
 
 
+def test_d2_detection_probability_follows_the_mirror():
+    # An honest r = 0.3 mirror clicks D2 at t/2 = 0.35 per slot.
+    p = protocol.CommitmentParams(m=1, n=130, bs=optics.BeamSplitter(0.3, 0.7))
+    assert adversary.d2_detection_probability(0.35, p) < 1e-4
+
+
 def test_d2_detection_probability_monotone_in_m():
     p1 = protocol.CommitmentParams(m=1, n=130)
     p70 = protocol.CommitmentParams(m=70, n=130)
@@ -240,6 +248,41 @@ def test_bob_illegal_polarization_gains_nothing():
         report.expected["confirmation_rate"], abs=0.01
     )
     assert report.empirical["d2_slot_rate"] == pytest.approx(0.25, abs=0.01)
+
+
+def test_chunk_boundaries_keep_counts_exact(monkeypatch):
+    # One slot per chunk: every trial and run is a chunk of its own.
+    monkeypatch.setattr(rng_module, "_CHUNK_SLOTS", 1)
+    n, n0 = 300, 70
+    p = params(m=3, n=n)
+    report = adversary.alice_intercept_resend(n0, p, substream(52, 0),
+                                              alter_trials=5)
+    assert report.extras["total_clicks"] == p.m * (n + n0)
+    assert 0.0 <= report.p_alter_empirical <= 1.0
+    p = protocol.CommitmentParams(m=70, n=130)
+    runs = 5
+    report = adversary.bob_illegal_bs(0.8, p, substream(53, 0), runs=runs)
+    failures = report.extras["per_sequence_failure_rate"] * runs * p.m
+    assert failures == pytest.approx(round(failures), abs=1e-9)
+
+
+def test_intercept_memory_does_not_grow_with_trials():
+    n = 10_000
+
+    def peak(m, trials):
+        tracemalloc.start()
+        try:
+            adversary.alice_intercept(
+                2000, protocol.CommitmentParams(m=m, n=n),
+                substream(54, 0), alter_trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full_chunk = max(1, rng_module._CHUNK_SLOTS // n)
+    peak(1, 1)   # one-time allocations stay out of both measurements
+    assert peak(10 * full_chunk, 10 * full_chunk) <= 1.5 * peak(full_chunk,
+                                                                full_chunk)
 
 
 def test_alter_impossible_when_every_slot_confirmed():

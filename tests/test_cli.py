@@ -240,6 +240,31 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     assert report["results"]["committed_bit"] == 0
 
 
+@pytest.mark.parametrize("config", [
+    {"m": 2.5, "n": 16},
+    {"bogus": 1},
+    {"m": True, "n": 16},
+    {"r": "0.3", "m": 2, "n": 16},
+    {"m": None, "n": 16},
+    {"format": "xml"},
+])
+def test_config_file_rejects_unknown_keys_and_wrong_types(capsys, tmp_path,
+                                                          config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), "commit")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_oversized_commit_is_refused_before_allocating(capsys):
+    code, out, err = run(capsys, "commit", "--m", "1000000", "--n", "1000")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_config_file_missing_is_io_error(capsys):
     code, _, _ = run(capsys, "--config", "/nonexistent/cfg.json", "commit")
     assert code == cli.EXIT_IO

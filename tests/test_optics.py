@@ -230,6 +230,60 @@ def test_run_slot_matches_closed_form(r):
         assert abs(counts[det] / trials - p) < mc_tolerance(p, trials) + 1e-9
 
 
+def _run_slot_uncached(a_bit, b_bit, bs, rng):
+    """run_slot as it was before its amplitudes were memoized: every step
+    on every call."""
+    state = optics.bs_forward(optics.Polarization.from_bit(b_bit), bs)
+    state, click = optics.apply_switch(
+        state, optics.SwitchSchedule.honest(a_bit), rng)
+    if click is not None:
+        return click
+    p0, p1 = optics.bs_return(state, bs)
+    total = p0 + p1
+    if total <= 0.0:
+        return optics.DetectionOutcome(optics.Detector.NONE,
+                                       optics.TIME_BIN_NONE)
+    if rng.random() * total < p0:
+        return optics.DetectionOutcome(optics.Detector.D0,
+                                       optics.TIME_BIN_RETURN)
+    return optics.DetectionOutcome(optics.Detector.D1, optics.TIME_BIN_RETURN)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_run_slot_equals_uncached_path(r, a_bit, b_bit):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    cached, uncached = substream(22, a_bit, b_bit), substream(22, a_bit, b_bit)
+    trials = 2000
+    assert ([optics.run_slot(a_bit, b_bit, bs, cached) for _ in range(trials)]
+            == [_run_slot_uncached(a_bit, b_bit, bs, uncached)
+                for _ in range(trials)])
+    # Both made the same draws.
+    assert cached.random() == uncached.random()
+
+
+def _sample_detectors_masked(eq, bs, rng):
+    """sample_detectors as it was, by masked assignment of each code."""
+    u = rng.random(eq.shape)
+    det = np.zeros(eq.shape, dtype=np.int8)
+    matched = optics.outcome_distribution(0, 0, bs)
+    d1_from = matched[optics.Detector.D0]
+    d2_from = d1_from + matched[optics.Detector.D1]
+    det[eq & (u >= d1_from) & (u < d2_from)] = 1
+    det[eq & (u >= d2_from)] = 2
+    return det
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
+def test_sample_detectors_equals_masked_assignment(r):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    eq = substream(23, 0).random((70, 130)) < 0.5
+    det = optics.sample_detectors(eq, bs, substream(23, 1))
+    reference = _sample_detectors_masked(eq, bs, substream(23, 1))
+    assert det.dtype == reference.dtype
+    assert np.array_equal(det, reference)
+
+
 def test_sample_detectors_agrees_with_run_slot():
     bs = optics.BeamSplitter(0.3, 0.7)
     rng = substream(17, 0)

@@ -1,6 +1,7 @@
 """Commit/open round-trip tests: sequence generation, transcript records,
 the D2-rate check, and the verification predicate."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,14 +103,32 @@ def test_d2_check_window_and_abort():
 
 
 def test_fully_transmitting_mirror_forces_abort():
-    # with t = 1 every matched slot clicks D2, so ~n/2 >> n/4 clicks
-    params = protocol.CommitmentParams(
-        m=2, n=64, bs=optics.BeamSplitter(0.0, 1.0), master_seed=10
-    )
-    t = protocol.run_commit_phase(params, b=0)
+    # With t = 1 every matched slot clicks D2: ~n/2 clicks where the agreed
+    # balanced mirror gives n/4, so Alice's check trips.
+    agreed = protocol.CommitmentParams(m=2, n=64, master_seed=10)
+    swapped = dataclasses.replace(agreed, bs=optics.BeamSplitter(0.0, 1.0))
+    t = protocol.run_commit_phase(swapped, b=0)
+    assert not protocol.alice_check_d2(t, agreed).all()
+    # A failed check aborts the commit, which then opens to nothing.
+    narrow = dataclasses.replace(agreed, d2_check_sigma=1e-3)
+    t = protocol.run_commit_phase(narrow, b=0)
     assert t.phase == protocol.PHASE_ABORTED
     assert not protocol.bob_verify_opening(t, t.honest_opening())
     assert protocol.bob_verify_opening(t, t.honest_opening()).reason == "aborted"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_d2_window_follows_the_mirror(seed):
+    # The honest D2 rate is t/2; a window fixed at the balanced mirror's n/4
+    # aborted these (70, 130) commits at r = 0.3 with 9, 6 and 4 sequences
+    # out of it.
+    params = protocol.CommitmentParams(
+        m=70, n=130, bs=optics.BeamSplitter(0.3, 0.7), master_seed=seed)
+    lo, hi = protocol.d2_window(params)
+    assert (lo + hi) / 2 == pytest.approx(130 * 0.35)
+    t = protocol.run_commit_phase(params)
+    assert t.phase == protocol.PHASE_COMMITTED
+    assert protocol.bob_verify_opening(t, t.honest_opening())
 
 
 # ---------------------------------------------------------------------------
