@@ -15,7 +15,6 @@ exactly n + n0_resend).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -61,9 +60,6 @@ class AttackReport:
             },
             "extras": self.extras,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +282,7 @@ def alice_optimal_alter(
         raise ParameterError("target bit equals the committed bit")
     claimed = transcript.alice.bits.copy()
     for i in range(transcript.params.m):
-        unknown = np.flatnonzero(transcript.alpha[i] == 0)
+        unknown = np.flatnonzero(transcript.detectors[i] != 2)
         if unknown.size == 0:
             raise AttackImpossibleError(f"sequence {i} has no unknown slot")
         j = unknown[rng.integers(0, unknown.size)]
@@ -294,7 +290,7 @@ def alice_optimal_alter(
     return protocol.OpeningMessage(
         claimed_bit=target_bit,
         claimed_bits=claimed,
-        claimed_d2=transcript.alpha > 0,
+        claimed_d2=transcript.d2_inferred(),
     )
 
 
@@ -409,8 +405,9 @@ def bob_multiphoton(
     """Bob loads every slot with k independent photons."""
     if k < 2:
         raise ParameterError("multi-photon attack needs k >= 2")
-    t = params.bs.t
-    p_any_capture = 1.0 - (1.0 - t) ** k
+    p_capture = optics.outcome_distribution(0, 0, params.bs)[
+        optics.Detector.D2]
+    p_any_capture = 1.0 - (1.0 - p_capture) ** k
 
     def sample(rng, shape):
         return _uniform_matches(rng, shape) & (rng.random(shape)

@@ -11,8 +11,8 @@ All randomness derives from --seed (default 1), so identical invocations
 produce byte-identical JSON apart from the generated_at timestamp, which
 is excluded from the determinism contract.
 
-Exit codes: 0 success, 2 usage/parameter error, 3 infeasible targets,
-4 I/O failure.
+Exit codes: 0 success, 2 usage/parameter error or an attack with no legal
+move, 3 infeasible targets, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import adversary, optics, protocol, security
 from .errors import (
+    AttackImpossibleError,
     ContractViolationError,
     InfeasibleTargetError,
     ParameterError,
@@ -42,15 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
-
-ATTACK_STRATEGIES = (
-    "alice-intercept",
-    "alice-intercept-resend",
-    "alice-alter",
-    "bob-bs",
-    "bob-multiphoton",
-    "bob-polarization",
-)
 
 
 def _report_envelope(command: str, config: dict, results: dict) -> dict:
@@ -161,6 +153,9 @@ def _attack_alice_alter(args, params, rng) -> dict:
     (naive full-protocol sampling of a ~1e-6 event is hopeless)."""
     if args.trials < 1:
         raise ParameterError("alice-alter needs --trials >= 1")
+    # A degenerate mirror has no analytic value; refuse it before sampling.
+    probs = security.comparison_probs(params.bs)
+    analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
     successes = 0
     for _ in range(args.trials):
         trial = dataclasses.replace(
@@ -170,13 +165,11 @@ def _attack_alice_alter(args, params, rng) -> dict:
         target = 1 - int(transcript.alice.committed_bit)
         try:
             opening = adversary.alice_optimal_alter(transcript, target, rng)
-        except adversary.AttackImpossibleError:
+        except AttackImpossibleError:
             continue
         if protocol.bob_verify_opening(transcript, opening).accepted:
             successes += 1
     per_seq = successes / args.trials
-    probs = security.comparison_probs(params.bs)
-    analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
     return {
         "per_sequence_success": {"empirical": per_seq,
                                  "analytic": analytic_seq},
@@ -189,6 +182,24 @@ def _attack_alice_alter(args, params, rng) -> dict:
     }
 
 
+# The call behind each --strategy choice: (args, params, rng) -> results.
+_ATTACKS = {
+    "alice-intercept": lambda a, params, rng: adversary.alice_intercept(
+        a.n0, params, rng, alter_trials=a.trials).to_dict(),
+    "alice-intercept-resend":
+        lambda a, params, rng: adversary.alice_intercept_resend(
+            a.n0, params, rng, alter_trials=a.trials).to_dict(),
+    "alice-alter": _attack_alice_alter,
+    "bob-bs": lambda a, params, rng: adversary.bob_illegal_bs(
+        a.t_prime, params, rng, runs=a.runs).to_dict(),
+    "bob-multiphoton": lambda a, params, rng: adversary.bob_multiphoton(
+        a.k, params, rng, runs=a.runs).to_dict(),
+    "bob-polarization":
+        lambda a, params, rng: adversary.bob_illegal_polarization(
+            optics.PLUS, params, rng, runs=a.runs).to_dict(),
+}
+
+
 def cmd_attack(args) -> tuple[dict, list, list]:
     params = protocol.CommitmentParams(
         m=args.m, n=args.n,
@@ -196,31 +207,7 @@ def cmd_attack(args) -> tuple[dict, list, list]:
         master_seed=args.seed,
     )
     rng = substream(args.seed, 20)
-    if args.strategy == "alice-intercept":
-        report = adversary.alice_intercept(args.n0, params, rng,
-                                           alter_trials=args.trials)
-        results = report.to_dict()
-    elif args.strategy == "alice-intercept-resend":
-        report = adversary.alice_intercept_resend(args.n0, params, rng,
-                                                  alter_trials=args.trials)
-        results = report.to_dict()
-    elif args.strategy == "alice-alter":
-        results = _attack_alice_alter(args, params, rng)
-    elif args.strategy == "bob-bs":
-        report = adversary.bob_illegal_bs(args.t_prime, params, rng,
-                                          runs=args.runs)
-        results = report.to_dict()
-    elif args.strategy == "bob-multiphoton":
-        report = adversary.bob_multiphoton(args.k, params, rng,
-                                           runs=args.runs)
-        results = report.to_dict()
-    elif args.strategy == "bob-polarization":
-        pol = optics.PLUS
-        report = adversary.bob_illegal_polarization(pol, params, rng,
-                                                    runs=args.runs)
-        results = report.to_dict()
-    else:  # pragma: no cover - argparse choices guard this
-        raise ParameterError(f"unknown strategy {args.strategy!r}")
+    results = _ATTACKS[args.strategy](args, params, rng)
 
     rows, header = None, None
     if "expected" in results and "empirical" in results:
@@ -254,6 +241,15 @@ def cmd_params(args) -> tuple[dict, list, list]:
 # Parser / entry point
 # ---------------------------------------------------------------------------
 
+def _finite_float(text: str) -> float:
+    """The type of every float option: no option's domain holds nan or
+    an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqbc",
@@ -262,22 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default):
-        p.add_argument("--m", type=int, default=70)
-        p.add_argument("--n", type=int, default=130)
-        p.add_argument("--r", type=float, default=0.5,
+    def common(p, sized, trials_default=None):
+        if sized:
+            p.add_argument("--m", type=int, default=70)
+            p.add_argument("--n", type=int, default=130)
+        p.add_argument("--r", type=_finite_float, default=0.5,
                        help="beam splitter reflectivity (t = 1 - r)")
-        p.add_argument("--trials", type=int, default=trials_default)
+        if trials_default is not None:
+            p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("table1", help="per-slot detector distributions")
-    common(p, 100_000)
+    common(p, sized=False, trials_default=100_000)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("commit", help="honest commit + open run")
-    common(p, 0)
+    common(p, sized=True)
     p.add_argument("--bit", type=int, choices=(0, 1), default=None,
                    help="commitment bit (default: random)")
     p.add_argument("--open-bit", type=int, choices=(0, 1), default=None,
@@ -286,21 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_commit)
 
     p = sub.add_parser("attack", help="run one adversarial strategy")
-    common(p, 10_000)
-    p.add_argument("--strategy", required=True, choices=ATTACK_STRATEGIES)
+    common(p, sized=True, trials_default=10_000)
+    p.add_argument("--strategy", required=True, choices=_ATTACKS)
     p.add_argument("--n0", type=int, default=0,
                    help="intercepted slots per sequence")
     p.add_argument("--k", type=int, default=2, help="photons per slot")
-    p.add_argument("--t-prime", type=float, default=0.5, dest="t_prime",
+    p.add_argument("--t-prime", type=_finite_float, default=0.5,
+                   dest="t_prime",
                    help="transmissivity of Bob's illegal beam splitter")
     p.add_argument("--runs", type=int, default=1000,
                    help="independent commit runs for detection statistics")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("params", help="solve for (m, n)")
-    common(p, 0)
-    p.add_argument("--target-binding", type=float, required=True)
-    p.add_argument("--target-concealing", type=float, required=True)
+    common(p, sized=False)
+    p.add_argument("--target-binding", type=_finite_float, required=True)
+    p.add_argument("--target-concealing", type=_finite_float, required=True)
     p.add_argument("--max-m", type=int, default=100_000)
     p.add_argument("--max-n", type=int, default=1_000_000)
     p.set_defaults(func=cmd_params)
@@ -320,14 +319,15 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                       for sub in action.choices.values()]
         _check_config(config, [parser] + subparsers)
         # subcommand options carry their own defaults, which would shadow
-        # the config values; push the config into every subparser as well
+        # the config values; push each value into the parsers that own it
         for p in [parser] + subparsers:
-            p.set_defaults(**config)
+            dests = {action.dest for action in p._actions}
+            p.set_defaults(**{k: v for k, v in config.items() if k in dests})
     return parser.parse_args(argv)
 
 
 # The JSON values an option of each argparse type accepts.
-_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
+_CONFIG_TYPES = {int: (int,), _finite_float: (int, float), None: (str,)}
 
 
 def _check_config(config: dict, parsers) -> None:
@@ -347,6 +347,8 @@ def _check_config(config: dict, parsers) -> None:
             else:
                 ok = (not isinstance(value, bool)
                       and isinstance(value, _CONFIG_TYPES[action.type])
+                      and (not isinstance(value, float)
+                           or math.isfinite(value))
                       and (action.choices is None or value in action.choices))
             if not ok:
                 raise ParameterError(
@@ -377,7 +379,8 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ParameterError, ContractViolationError) as exc:
+    except (ParameterError, ContractViolationError,
+            AttackImpossibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

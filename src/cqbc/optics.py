@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -95,7 +94,6 @@ class Polarization:
 H = Polarization(1.0, 0.0)
 V = Polarization(0.0, 1.0)
 PLUS = Polarization(1 / math.sqrt(2), 1 / math.sqrt(2))
-MINUS = Polarization(1 / math.sqrt(2), -1 / math.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -141,14 +139,6 @@ class SwitchSchedule:
     def honest(cls, a_bit: int) -> "SwitchSchedule":
         """Open the single bin matching the controller's bit (0 -> direct)."""
         return cls(frozenset({TIME_BIN_LOOP if a_bit else TIME_BIN_DIRECT}))
-
-    @classmethod
-    def both(cls) -> "SwitchSchedule":
-        return cls(frozenset({TIME_BIN_DIRECT, TIME_BIN_LOOP}))
-
-    @classmethod
-    def closed(cls) -> "SwitchSchedule":
-        return cls(frozenset())
 
 
 @dataclass(frozen=True)
@@ -257,15 +247,6 @@ def bs_return(state: PhotonState, bs: BeamSplitter) -> tuple[float, float]:
     return abs(amp_d0) ** 2, abs(amp_d1) ** 2
 
 
-def collapse_at_pbs(pol: Polarization, rng: np.random.Generator) -> int:
-    """Collapse an arbitrary polarization into the H/V routing basis.
-
-    Returns the effective routing bit (0 for H, 1 for V). Superpositions
-    are adversarial inputs; the PBS turns them into probabilistic routing.
-    """
-    return int(rng.random() < pol.prob_v)
-
-
 _NO_CLICK = DetectionOutcome(Detector.NONE, TIME_BIN_NONE)
 _RETURN_D0 = DetectionOutcome(Detector.D0, TIME_BIN_RETURN)
 _RETURN_D1 = DetectionOutcome(Detector.D1, TIME_BIN_RETURN)
@@ -302,26 +283,6 @@ def run_slot(
     if rng.random() * p_total < p_d0:
         return _RETURN_D0
     return _RETURN_D1
-
-
-def run_slot_multiphoton(
-    k: int,
-    a_bit: int,
-    b_bit: int,
-    bs: BeamSplitter,
-    rng: np.random.Generator,
-) -> Counter:
-    """k independent, distinguishable photons through one slot.
-
-    No photon-photon interference is modeled; click counting is all the
-    detection argument needs. Returns a Counter over Detector.
-    """
-    if k < 1:
-        raise ParameterError("photon count k must be >= 1")
-    counts: Counter = Counter()
-    for _ in range(k):
-        counts[run_slot(a_bit, b_bit, bs, rng).detector] += 1
-    return counts
 
 
 def outcome_distribution(

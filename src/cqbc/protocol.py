@@ -10,7 +10,6 @@ sequences.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -18,18 +17,12 @@ import numpy as np
 
 from . import optics
 from .errors import ParameterError
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, MAX_ITEM_SLOTS, substream
 
 PHASE_COMMITTED = "committed"
-PHASE_OPENED = "opened"
 PHASE_ABORTED = "aborted"
 
 SLOT_ROW_HEADER = ("i", "j", "a", "b", "detector", "time_bin")
-
-# Largest m * n that run_commit_phase accepts. A commit and its
-# verification peak at about 15 bytes a slot, so this cap keeps one near
-# 250 MB; larger requests are refused before anything is allocated.
-MAX_COMMIT_SLOTS = 1 << 24
 
 # Substream tags (first path element after the master seed).
 _STREAM_BITS = 0
@@ -61,12 +54,8 @@ class CommitmentParams:
 class BitSequenceSet:
     """m sequences of n bits belonging to one party."""
 
-    owner: str
     bits: np.ndarray  # (m, n) uint8
     committed_bit: Optional[int] = None
-
-    def parities(self) -> np.ndarray:
-        return np.bitwise_xor.reduce(self.bits, axis=1)
 
 
 def alice_generate(b: int | np.ndarray, m: int, n: int,
@@ -81,13 +70,13 @@ def alice_generate(b: int | np.ndarray, m: int, n: int,
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
     prefix_parity = np.bitwise_xor.reduce(bits[:, :-1], axis=1)
     bits[:, -1] = prefix_parity ^ (b & 1)
-    return BitSequenceSet("Alice", bits, committed_bit=b & 1)
+    return BitSequenceSet(bits, committed_bit=b & 1)
 
 
 def bob_generate(m: int, n: int, rng: np.random.Generator) -> BitSequenceSet:
     """Uniform i.i.d. comparison bits."""
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    return BitSequenceSet("Bob", bits)
+    return BitSequenceSet(bits)
 
 
 @dataclass
@@ -112,34 +101,32 @@ class VerifyResult:
 class CommitmentTranscript:
     """Full per-slot record of one commit-phase execution.
 
-    beta0/beta1 are Bob's detector click counts per slot (counts, not
-    flags: adversarial resends and multi-photon pulses can produce more
-    than one click in a slot). alpha counts Alice's D2 clicks.
+    detectors holds the one click of each slot as an (m, n) int8 code, as
+    optics.sample_detectors returns it: 0 for D0 and 1 for D1 (Bob's
+    detectors), 2 for D2 (Alice's; Bob sees no click by the deadline).
     """
 
     params: CommitmentParams
     alice: BitSequenceSet
     bob: BitSequenceSet
-    beta0: np.ndarray
-    beta1: np.ndarray
-    alpha: np.ndarray
+    detectors: np.ndarray
     phase: str
     d2_counts: np.ndarray   # (m,) per-sequence count of slots with a D2 click
     d2_pass: np.ndarray     # (m,) bool
 
     def d2_inferred(self) -> np.ndarray:
         """Bob's inference: no click by the return deadline means D2 fired."""
-        return (self.beta0 + self.beta1) == 0
+        return self.detectors == 2
 
     def bob_confirmed(self) -> np.ndarray:
         """Slots where Bob concludes the bits matched (D1 click or no click)."""
-        return (self.beta1 > 0) | self.d2_inferred()
+        return self.detectors != 0
 
     def honest_opening(self) -> OpeningMessage:
         return OpeningMessage(
             claimed_bit=int(self.alice.committed_bit),
             claimed_bits=self.alice.bits.copy(),
-            claimed_d2=self.alpha > 0,
+            claimed_d2=self.d2_inferred(),
         )
 
     def slot_rows(self) -> Iterator[list]:
@@ -147,17 +134,13 @@ class CommitmentTranscript:
         for i in range(self.params.m):
             for j in range(self.params.n):
                 a_bit = int(self.alice.bits[i, j])
-                if self.alpha[i, j] > 0:
-                    detector = "D2"
+                code = int(self.detectors[i, j])
+                if code == 2:
                     time_bin = (optics.TIME_BIN_LOOP if a_bit
                                 else optics.TIME_BIN_DIRECT)
-                elif self.beta1[i, j] > 0:
-                    detector, time_bin = "D1", optics.TIME_BIN_RETURN
-                elif self.beta0[i, j] > 0:
-                    detector, time_bin = "D0", optics.TIME_BIN_RETURN
                 else:
-                    detector, time_bin = "NONE", optics.TIME_BIN_NONE
-                yield [i, j, a_bit, int(self.bob.bits[i, j]), detector,
+                    time_bin = optics.TIME_BIN_RETURN
+                yield [i, j, a_bit, int(self.bob.bits[i, j]), f"D{code}",
                        time_bin]
 
     def to_csv(self, path) -> None:
@@ -170,17 +153,14 @@ class CommitmentTranscript:
     def summary(self) -> dict:
         m, n = self.params.m, self.params.n
         total = m * n
+        clicks = np.bincount(self.detectors.ravel(), minlength=3)
         return {
             "m": m,
             "n": n,
             "phase": self.phase,
-            "clicks": {
-                "D0": int((self.beta0 > 0).sum()),
-                "D1": int((self.beta1 > 0).sum()),
-                "D2": int((self.alpha > 0).sum()),
-            },
+            "clicks": {f"D{code}": int(c) for code, c in enumerate(clicks)},
             "bob_confirmed_fraction": float(self.bob_confirmed().mean()),
-            "alice_d2_fraction": float((self.alpha > 0).mean()),
+            "alice_d2_fraction": float(self.d2_inferred().mean()),
             "d2_check": {
                 "per_sequence_counts": [int(c) for c in self.d2_counts],
                 "passed": [bool(p) for p in self.d2_pass],
@@ -188,9 +168,6 @@ class CommitmentTranscript:
             },
             "total_slots": total,
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
 
 
 def alice_check_d2(transcript: CommitmentTranscript,
@@ -202,7 +179,7 @@ def alice_check_d2(transcript: CommitmentTranscript,
     pass vector; the protocol aborts if any entry is False.
     """
     lo, hi = d2_window(params)
-    counts = (transcript.alpha > 0).sum(axis=1)
+    counts = transcript.d2_counts
     return (counts >= lo) & (counts <= hi)
 
 
@@ -228,13 +205,13 @@ def run_commit_phase(
     Whole sequences are sampled at once from the closed-form per-slot
     detector distribution; the amplitude-level `optics.run_slot` has the
     same marginal (asserted by the Monte Carlo agreement tests) but is too
-    slow for the large batch runs. More than MAX_COMMIT_SLOTS slots are a
+    slow for the large batch runs. More than MAX_ITEM_SLOTS slots are a
     ParameterError.
     """
-    if params.m * params.n > MAX_COMMIT_SLOTS:
+    if params.m * params.n > MAX_ITEM_SLOTS:
         raise ParameterError(
             f"m * n = {params.m * params.n} slots exceeds the commit limit "
-            f"of {MAX_COMMIT_SLOTS}")
+            f"of {MAX_ITEM_SLOTS}")
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))
@@ -243,17 +220,14 @@ def run_commit_phase(
 
     slot_rng = substream(params.master_seed, _STREAM_SLOTS)
     det = optics.sample_detectors(alice.bits == bob.bits, params.bs, slot_rng)
-    beta0, beta1, alpha = ((det == code).astype(np.int16) for code in range(3))
 
     transcript = CommitmentTranscript(
         params=params,
         alice=alice,
         bob=bob,
-        beta0=beta0,
-        beta1=beta1,
-        alpha=alpha,
+        detectors=det,
         phase=PHASE_COMMITTED,
-        d2_counts=(alpha > 0).sum(axis=1),
+        d2_counts=(det == 2).sum(axis=1),
         d2_pass=np.ones(params.m, dtype=bool),
     )
     transcript.d2_pass = alice_check_d2(transcript, params)
@@ -299,7 +273,4 @@ def run_honest_protocol(params: CommitmentParams,
                         b: Optional[int] = None) -> VerifyResult:
     """Commit plus honest opening; completeness helper."""
     transcript = run_commit_phase(params, b=b)
-    result = bob_verify_opening(transcript, transcript.honest_opening())
-    if result.accepted:
-        transcript.phase = PHASE_OPENED
-    return result
+    return bob_verify_opening(transcript, transcript.honest_opening())

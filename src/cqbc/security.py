@@ -10,7 +10,6 @@ log1p/expm1 to avoid catastrophic cancellation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -31,13 +30,11 @@ class ComparisonProbs:
     p        -- Bob confirms the bits matched (D1 click or inferred D2)
     p_prime  -- Bob guesses Alice's bit correctly, counting D0-based guesses
     q        -- Alice learns that Bob confirmed (her D2 clicked)
-    posterior_neq_given_d0 -- P(bits differed | D0 clicked)
     """
 
     p: Fraction
     p_prime: Fraction
     q: Fraction
-    posterior_neq_given_d0: Fraction
 
 
 def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
@@ -61,10 +58,13 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     # On a D0 click Bob bets the bits differed; that guess is right on the
     # whole mismatched D0 mass, on top of his confirmed slots.
     p_prime = p + neq[d0] / 2
-    posterior = neq[d0] / (neq[d0] + eq[d0])
-    assert 0 <= q < p < p_prime < 1
-    return ComparisonProbs(p=p, p_prime=p_prime, q=q,
-                           posterior_neq_given_d0=posterior)
+    if not 0 <= q < p < p_prime < 1:
+        # r + t = 1 holds only up to rounding; for a tiny r the rounding
+        # error outweighs r^2 and tips p' = 1 - r^2 / 2 past 1.
+        raise ParameterError(
+            f"r = {bs.r} is too close to 0 to order the channel "
+            "probabilities 0 <= q < p < p' < 1")
+    return ComparisonProbs(p=p, p_prime=p_prime, q=q)
 
 
 def binding_advantage(m: int, p, q):
@@ -255,8 +255,9 @@ def concealing_tv_monte_carlo(
     rng: np.random.Generator,
 ) -> float:
     """Monte Carlo estimate of the oracle's TV distance from sampled
-    transcripts (`samples` per commitment value)."""
-    if n > 12:
+    transcripts (`samples` per commitment value). The view table holds
+    2 * 6^n int64 counts, so n is capped at 8 (27 MB)."""
+    if n > 8:
         raise ParameterError("view space too large for bucketed estimation")
     n_views = 6 ** n  # (b_bit, outcome) in {0,1} x {0,1,2} per slot
     counts = np.zeros((2, n_views), dtype=np.int64)
@@ -311,9 +312,6 @@ class SecurityReport:
                 "note": self.concealing.factor_two_note,
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def security_report(m: int, n: int,

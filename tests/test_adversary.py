@@ -119,7 +119,7 @@ def test_resend_alter_empirical_matches_analytic():
 def test_report_json_round_trip():
     import json
     report = adversary.alice_intercept(0, params(n=100), substream(38, 0))
-    loaded = json.loads(report.to_json())
+    loaded = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert loaded["strategy"] == "alice-intercept"
     assert loaded["expected"]["D2"] == pytest.approx(25.0)
 
@@ -138,7 +138,7 @@ def test_optimal_alter_parity_and_single_flip():
     parities = np.bitwise_xor.reduce(opening.claimed_bits, axis=1)
     assert (parities == 1).all()
     # flipped slots never sit on Alice's own D2 record
-    assert (t.alpha[diffs.astype(bool)] == 0).all()
+    assert (t.detectors[diffs.astype(bool)] != 2).all()
 
 
 def test_optimal_alter_rejects_same_bit():
@@ -240,6 +240,26 @@ def test_bob_multiphoton_detected():
         adversary.bob_multiphoton(1, p, substream(48, 1))
 
 
+@pytest.mark.parametrize("r", [0.3, 0.5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_bob_multiphoton_rate_matches_run_slot(r, k):
+    # k independent photons through the amplitude model per slot of uniform
+    # bits; the slot clicks D2 when any photon is captured.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    p = protocol.CommitmentParams(m=1, n=2, bs=bs)
+    expected = adversary.bob_multiphoton(k, p, substream(55, 0),
+                                         runs=1).expected["d2_slot_rate"]
+    rng = substream(56, k, int(10 * r))
+    slots = 20_000
+    captured = 0
+    for a_bit, b_bit in rng.integers(0, 2, size=(slots, 2)).tolist():
+        outcomes = [optics.run_slot(a_bit, b_bit, bs, rng).detector
+                    for _ in range(k)]
+        captured += optics.Detector.D2 in outcomes
+    sigma = math.sqrt(expected * (1 - expected) / slots)
+    assert abs(captured / slots - expected) < 4.0 * sigma
+
+
 def test_bob_illegal_polarization_gains_nothing():
     p = protocol.CommitmentParams(m=20, n=130)
     report = adversary.bob_illegal_polarization(optics.PLUS, p,
@@ -288,6 +308,6 @@ def test_intercept_memory_does_not_grow_with_trials():
 def test_alter_impossible_when_every_slot_confirmed():
     p = protocol.CommitmentParams(m=1, n=4, master_seed=50)
     t = protocol.run_commit_phase(p, b=0)
-    t.alpha[:, :] = 1
+    t.detectors[:, :] = 2
     with pytest.raises(AttackImpossibleError):
         adversary.alice_optimal_alter(t, 1, substream(51, 0))

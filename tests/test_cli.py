@@ -1,13 +1,20 @@
 """End-to-end CLI tests via main(argv): exit codes, output schema,
 determinism, CSV export, and config-file layering."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqbc import cli
 
@@ -150,6 +157,19 @@ def test_attack_alter_follows_mirror(capsys):
         pytest.approx((0.545 / 0.65) ** 2))
 
 
+def test_attack_alter_refuses_degenerate_mirror_before_sampling(capsys,
+                                                               monkeypatch):
+    def no_commit(*args, **kwargs):
+        raise AssertionError("sampled a commit before refusing the mirror")
+
+    monkeypatch.setattr(cli.protocol, "run_commit_phase", no_commit)
+    code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
+                         "--r", "0", "--m", "1", "--n", "32")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "degenerate" in err
+
+
 def test_attack_bob_bs(capsys):
     report = run_json(capsys, "attack", "--strategy", "bob-bs",
                       "--m", "70", "--n", "130", "--t-prime", "0.8",
@@ -190,6 +210,41 @@ def test_attack_bad_counts_are_usage_errors(capsys, argv):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+
+
+# At r = 0 every attacked slot clicks D2, so no slot can be flipped; the
+# second argv draws that same dead end at random on the balanced mirror.
+IMPOSSIBLE_ALTER = ("attack", "--strategy", "alice-intercept", "--r", "0",
+                    "--m", "1", "--n", "4", "--n0", "4", "--trials", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    IMPOSSIBLE_ALTER,
+    ("attack", "--strategy", "alice-intercept", "--m", "1", "--n", "2",
+     "--n0", "2", "--trials", "1", "--seed", "2"),
+])
+def test_impossible_alter_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "flippable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--strategy", "bob-bs", "--m", "1000000", "--n", "1000"),
+    ("--strategy", "alice-intercept", "--n", "1000000000"),
+])
+def test_oversized_attack_is_refused_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "attack", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "limit" in err
+    assert peak < 10 * 2**20
 
 
 def test_attack_bad_n0_is_usage_error(capsys):
@@ -240,6 +295,14 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     assert report["results"]["committed_bit"] == 0
 
 
+def test_config_file_sets_only_the_subcommands_options(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "n": 16, "k": 3, "trials": 1000}))
+    report = run_json(capsys, "--config", str(cfg), "table1")
+    assert report["config"]["trials"] == 1000
+    assert not {"m", "n", "k"} & set(report["config"])
+
+
 @pytest.mark.parametrize("config", [
     {"m": 2.5, "n": 16},
     {"bogus": 1},
@@ -247,6 +310,7 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     {"r": "0.3", "m": 2, "n": 16},
     {"m": None, "n": 16},
     {"format": "xml"},
+    {"t_prime": math.inf, "m": 2, "n": 16},
 ])
 def test_config_file_rejects_unknown_keys_and_wrong_types(capsys, tmp_path,
                                                           config):
@@ -300,3 +364,69 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole CLI in-process
+# ---------------------------------------------------------------------------
+
+def _reals(lo, hi):
+    """Values in the domain [0, 1] or around it in [lo, hi], or non-finite
+    ones, each a third of the time."""
+    return (st.floats(0.0, 1.0) | st.floats(lo, hi)
+            | st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _options(**domains):
+    """One `--name=value` argument per option."""
+    return st.fixed_dictionaries(domains).map(lambda values: [
+        f"--{name.replace('_', '-')}={value}"
+        for name, value in values.items()])
+
+
+_FORMAT = st.sampled_from(["json", "csv"])
+_SIZE = dict(m=st.integers(-1, 4), n=st.integers(-1, 40))
+
+_ARGVS = st.one_of(
+    _options(r=_reals(-0.5, 1.5), trials=st.integers(1000, 1500),
+             seed=st.integers(0, 50), format=_FORMAT).map(
+        lambda opts: ["table1"] + opts),
+    st.tuples(
+        _options(r=_reals(-0.5, 1.5), seed=st.integers(0, 50),
+                 format=_FORMAT, **_SIZE),
+        st.lists(st.sampled_from(["--bit=0", "--bit=1", "--open-bit=0",
+                                  "--open-bit=1"]), max_size=2),
+    ).map(lambda parts: ["commit"] + parts[0] + parts[1]),
+    _options(strategy=st.sampled_from(sorted(cli._ATTACKS)),
+             r=_reals(-0.5, 1.5), trials=st.integers(-1, 30),
+             seed=st.integers(0, 50), n0=st.integers(-1, 41),
+             k=st.integers(-1, 5), t_prime=_reals(-0.5, 1.5),
+             runs=st.integers(-1, 4), format=_FORMAT, **_SIZE).map(
+        lambda opts: ["attack"] + opts),
+    _options(r=_reals(-0.5, 1.5), target_binding=_reals(-0.5, 1.5),
+             target_concealing=_reals(-0.5, 1.5),
+             max_m=st.integers(-1, 200), max_n=st.integers(-1, 400),
+             seed=st.integers(0, 50), format=_FORMAT).map(
+        lambda opts: ["params"] + opts),
+)
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_ARGVS)
+@example(argv=list(IMPOSSIBLE_ALTER))
+# a tiny r whose t = 1 - r rounds to 1: p' came out above 1
+@example(argv=["params", "--r=1.2028890169405028e-122",
+               "--target-binding=1.0", "--target-concealing=1.0",
+               "--max-m=0", "--max-n=0"])
+# an option this strategy never reads was echoed as NaN in the config
+@example(argv=["attack", "--strategy=alice-intercept", "--r=0.0",
+               "--trials=0", "--n0=0", "--t-prime=nan", "--m=1", "--n=2"])
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INFEASIBLE,
+                    cli.EXIT_IO), err.getvalue()
+    assert not _NON_FINITE.search(out.getvalue())

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cqbc import optics
@@ -124,11 +124,13 @@ def test_apply_switch_mismatched_bin_is_transparent():
 def test_apply_switch_both_bins_covers_full_receiver_amplitude():
     rng = substream(12, 0)
     trials = 20000
+    both = optics.SwitchSchedule(
+        frozenset({optics.TIME_BIN_DIRECT, optics.TIME_BIN_LOOP}))
     for pol in (optics.H, optics.V):
         clicks = 0
         for _ in range(trials):
             state = optics.bs_forward(pol, BALANCED)
-            _, click = optics.apply_switch(state, optics.SwitchSchedule.both(), rng)
+            _, click = optics.apply_switch(state, both, rng)
             clicks += click is not None
         assert abs(clicks / trials - BALANCED.t) < mc_tolerance(BALANCED.t, trials)
 
@@ -137,7 +139,7 @@ def test_apply_switch_requires_normalized_state():
     rng = substream(13, 0)
     bad = optics.PhotonState(1.0, 1.0, 0.0)
     with pytest.raises(ContractViolationError):
-        optics.apply_switch(bad, optics.SwitchSchedule.closed(), rng)
+        optics.apply_switch(bad, optics.SwitchSchedule(frozenset()), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -297,56 +299,3 @@ def test_sample_detectors_agrees_with_run_slot():
     # mismatched slots are always D0
     det = optics.sample_detectors(np.zeros(100, dtype=bool), bs, rng)
     assert (det == 0).all()
-
-
-# ---------------------------------------------------------------------------
-# multi-photon slots
-# ---------------------------------------------------------------------------
-
-def test_multiphoton_k1_reduces_to_run_slot():
-    rng = substream(18, 0)
-    trials = 20000
-    counts = Counter()
-    for _ in range(trials):
-        counts.update(optics.run_slot_multiphoton(1, 0, 0, BALANCED, rng))
-    dist = optics.outcome_distribution(0, 0, BALANCED)
-    for det, p in dist.items():
-        assert abs(counts[det] / trials - p) < mc_tolerance(p, trials)
-
-
-def test_multiphoton_two_photons_match_case():
-    rng = substream(19, 0)
-    trials = 20000
-    any_d2 = 0
-    for _ in range(trials):
-        counts = optics.run_slot_multiphoton(2, 1, 1, BALANCED, rng)
-        any_d2 += counts[optics.Detector.D2] > 0
-    # independence: P(at least one capture) = 1 - (1/2)^2
-    assert abs(any_d2 / trials - 0.75) < mc_tolerance(0.75, trials)
-
-
-def test_multiphoton_mismatch_all_d0():
-    rng = substream(20, 0)
-    for _ in range(500):
-        counts = optics.run_slot_multiphoton(2, 0, 1, BALANCED, rng)
-        assert counts[optics.Detector.D0] == 2
-
-
-def test_multiphoton_requires_positive_count():
-    with pytest.raises(ParameterError):
-        optics.run_slot_multiphoton(0, 0, 0, BALANCED, substream(21, 0))
-
-
-# ---------------------------------------------------------------------------
-# PBS collapse of adversarial superpositions
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=20)
-@given(theta=st.floats(0.05, math.pi / 2 - 0.05))
-def test_collapse_at_pbs_frequency(theta):
-    pol = optics.Polarization(math.cos(theta), math.sin(theta))
-    rng = substream(22, int(theta * 1000))
-    trials = 4000
-    ones = sum(optics.collapse_at_pbs(pol, rng) for _ in range(trials))
-    p = pol.prob_v
-    assert abs(ones / trials - p) < mc_tolerance(p, trials) + 0.01

@@ -2,6 +2,7 @@
 the parameter solver."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,6 @@ def test_comparison_probs_balanced_exact():
     assert probs.p == Fraction(3, 8)
     assert probs.p_prime == Fraction(7, 8)
     assert probs.q == Fraction(1, 4)
-    assert probs.posterior_neq_given_d0 == Fraction(4, 5)
 
 
 def test_comparison_probs_skewed_mirror():
@@ -178,6 +178,19 @@ def test_oracle_monte_carlo_agreement():
     assert est == pytest.approx(exact, abs=5e-3)
 
 
+def test_tv_monte_carlo_refuses_large_view_space_before_allocating():
+    # n = 9 would need a (2, 6^9) int64 table, 161 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError):
+            security.concealing_tv_monte_carlo(9, BALANCED, 10,
+                                               substream(61, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.05, 0.95))
 def test_oracle_properties_over_mirrors(r):
@@ -200,4 +213,4 @@ def test_security_report_contents():
     assert 2.7e-6 <= d["binding_advantage"] <= 2.9e-6
     assert 0.9e-6 <= d["concealing"]["advantage"] <= 1.1e-6
     import json
-    assert json.loads(report.to_json()) == json.loads(report.to_json())
+    assert json.loads(json.dumps(d, sort_keys=True)) == d
