@@ -150,13 +150,16 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
 def _attack_alice_alter(args, params, rng) -> dict:
     """Per-sequence alter success sampled by full commit/alter/verify
     loops; the m-sequence success probability is composed analytically
-    (naive full-protocol sampling of a ~1e-6 event is hopeless)."""
+    (naive full-protocol sampling of a ~1e-6 event is hopeless). A trial
+    whose every slot clicked D2 leaves Alice nothing to flip: it is counted
+    apart and not graded."""
     if args.trials < 1:
         raise ParameterError("alice-alter needs --trials >= 1")
     # A degenerate mirror has no analytic value; refuse it before sampling.
     probs = security.comparison_probs(params.bs)
     analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
     successes = 0
+    ungraded = 0
     for _ in range(args.trials):
         trial = dataclasses.replace(
             params, m=1, master_seed=int(rng.integers(0, 2**62))
@@ -166,10 +169,13 @@ def _attack_alice_alter(args, params, rng) -> dict:
         try:
             opening = adversary.alice_optimal_alter(transcript, target, rng)
         except AttackImpossibleError:
+            ungraded += 1
             continue
         if protocol.bob_verify_opening(transcript, opening).accepted:
             successes += 1
-    per_seq = successes / args.trials
+    if ungraded == args.trials:
+        raise AttackImpossibleError("no flippable slot in any trial")
+    per_seq = successes / (args.trials - ungraded)
     return {
         "per_sequence_success": {"empirical": per_seq,
                                  "analytic": analytic_seq},
@@ -179,6 +185,7 @@ def _attack_alice_alter(args, params, rng) -> dict:
             "analytic": analytic_seq ** args.m,
         },
         "trials": args.trials,
+        "trials_without_flippable_slot": ungraded,
     }
 
 

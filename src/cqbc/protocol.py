@@ -17,7 +17,7 @@ import numpy as np
 
 from . import optics
 from .errors import ParameterError
-from .rng import DEFAULT_SEED, MAX_ITEM_SLOTS, substream
+from .rng import DEFAULT_SEED, check_item_slots, substream
 
 PHASE_COMMITTED = "committed"
 PHASE_ABORTED = "aborted"
@@ -58,13 +58,9 @@ class BitSequenceSet:
     committed_bit: Optional[int] = None
 
 
-def alice_generate(b: int | np.ndarray, m: int, n: int,
+def alice_generate(b: int, m: int, n: int,
                    rng: np.random.Generator) -> BitSequenceSet:
-    """Draw m sequences uniformly from the 2^(n-1) strings of parity b.
-
-    b is one committed bit, or an (m,) array of them, one per sequence, for
-    batches of independent single-sequence commitments.
-    """
+    """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
     if n < 2:
         raise ParameterError("n must be >= 2")
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
@@ -208,10 +204,7 @@ def run_commit_phase(
     slow for the large batch runs. More than MAX_ITEM_SLOTS slots are a
     ParameterError.
     """
-    if params.m * params.n > MAX_ITEM_SLOTS:
-        raise ParameterError(
-            f"m * n = {params.m * params.n} slots exceeds the commit limit "
-            f"of {MAX_ITEM_SLOTS}")
+    check_item_slots(params.m * params.n)
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))

@@ -28,15 +28,27 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 
 # Largest block of slots sampled at once: one commit, one run of an attack
-# on Bob's side, or one sequence of Alice's. The intercept attacks hold the
-# most per slot, about 45 bytes by tracemalloc, so this cap keeps a block
-# under 200 MB; larger requests are refused before anything is allocated.
+# on Bob's side, or one sequence of Alice's. A commit with its verification
+# holds the most per slot, about 14 bytes by tracemalloc (Bob's attacks 10
+# to 14; the intercept attacks hold row counts, not slots), so this cap
+# keeps a block under 60 MB; larger requests are refused before anything is
+# allocated.
 MAX_ITEM_SLOTS = 1 << 22
 
-# Slots one Monte Carlo chunk may hold. Batched samplers draw whole chunks
-# one after another from the caller's Generator, so a run's draws depend on
-# this size; it is fixed, so equal seeds still give equal results.
+# Slots (or, for the intercept alter trials, table-row counts) one Monte
+# Carlo chunk may hold. Batched samplers draw whole chunks one after another
+# from the caller's Generator, so a run's draws depend on this size; it is
+# fixed, so equal seeds still give equal results.
 _CHUNK_SLOTS = 1 << 16
+
+
+def check_item_slots(slots: int) -> None:
+    """Refuse a block (a commit, a run or a sequence) of more than
+    MAX_ITEM_SLOTS slots."""
+    if slots > MAX_ITEM_SLOTS:
+        raise ParameterError(
+            f"{slots} slots in one block exceed the limit of "
+            f"{MAX_ITEM_SLOTS}")
 
 
 def _chunks(items: int, slots_per_item: int) -> Iterator[int]:
@@ -44,10 +56,7 @@ def _chunks(items: int, slots_per_item: int) -> Iterator[int]:
     samples) of `slots_per_item` slots each: at most _CHUNK_SLOTS slots a
     chunk, but never less than one item. An item of more than
     MAX_ITEM_SLOTS slots is a ParameterError."""
-    if slots_per_item > MAX_ITEM_SLOTS:
-        raise ParameterError(
-            f"{slots_per_item} slots in one run or sequence exceed the limit "
-            f"of {MAX_ITEM_SLOTS}")
+    check_item_slots(slots_per_item)
     per_chunk = max(1, _CHUNK_SLOTS // slots_per_item)
     for start in range(0, items, per_chunk):
         yield min(per_chunk, items - start)

@@ -1,5 +1,6 @@
 """Attack simulators versus their closed-form predictions."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -122,6 +123,146 @@ def test_report_json_round_trip():
     loaded = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     assert loaded["strategy"] == "alice-intercept"
     assert loaded["expected"]["D2"] == pytest.approx(25.0)
+
+
+# ---------------------------------------------------------------------------
+# Alice: row counts against the per-slot sampler they replace
+# ---------------------------------------------------------------------------
+
+def _per_slot_rows(trials, n, n0, tables, rng):
+    """The per-slot reference: each trial is a fresh commitment of Alice's,
+    Bob's uniform bits and a uniform n0-subset of attacked slots, and each
+    slot draws a row of table 2 * attacked + mismatched. Returns the rows
+    (indices into the four tables' rows, in order) and the attacked mask,
+    both (trials, n)."""
+    committed = rng.integers(0, 2, size=trials, dtype=np.uint8)
+    a = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
+    a[:, -1] = np.bitwise_xor.reduce(a[:, :-1], axis=1) ^ committed
+    b = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
+    attacked = np.zeros((trials, n), dtype=bool)
+    for mask in attacked:
+        mask[rng.choice(n, n0, replace=False, shuffle=False)] = True
+    key = 2 * attacked + (a != b)
+    sizes = [len(table) for table in tables]
+    thresholds = np.ones((max(sizes) - 1, len(tables)))
+    for k, table in enumerate(tables):
+        cum = np.cumsum([prob for _, prob in table])[:-1]
+        thresholds[:len(cum), k] = cum
+    u = rng.random(key.shape)
+    row = np.cumsum([0] + sizes[:-1])[key]
+    for threshold in thresholds:
+        row += u >= threshold[key]
+    return row, attacked
+
+
+def _per_slot_alter(row, attacked, tables, resend, rng):
+    """(graded, successful) trials of the reference alter: the flipped slot
+    is the k-th candidate, k uniform below their count."""
+    rows = np.array([c for table in tables for c, _ in table])
+    candidates = rows[row, 2] == 0
+    if resend:
+        candidates |= attacked
+    count = candidates.sum(axis=1)
+    k = rng.integers(0, np.maximum(count, 1))
+    pick = np.argmax(np.cumsum(candidates, axis=1) > k[:, None], axis=1)
+    flipped = rows[row[np.arange(len(row)), pick]]
+    unflagged = (flipped[:, 0] > 0) & (flipped[:, 1] == 0)
+    return (int(np.count_nonzero(count)),
+            int(np.count_nonzero(unflagged & (count > 0))))
+
+
+@pytest.mark.parametrize("resend", [False, True])
+@pytest.mark.parametrize("n, n0", [(4, 2), (40, 10)])
+def test_row_counts_match_per_slot_sampler(n, n0, resend):
+    trials = 20_000
+    tables = adversary._attack_tables(BALANCED, resend)
+    slot_tables = adversary._SlotTables(tables)
+    n_rows = len(slot_tables.rows)
+
+    row, attacked = _per_slot_rows(trials, n, n0, tables, substream(57, n))
+    reference = np.bincount(
+        (row + n_rows * np.arange(trials)[:, None]).ravel(),
+        minlength=trials * n_rows).reshape(trials, n_rows)
+    counts = slot_tables.counts(n - n0, n0, substream(58, n), trials)
+    # A row's count in one trial is a sum of independent Bernoulli slots.
+    p = np.zeros((2, n_rows))
+    p[0, ~slot_tables.attacked] = slot_tables.mix[0]
+    p[1, slot_tables.attacked] = slot_tables.mix[1]
+    var = (n - n0) * p[0] * (1 - p[0]) + n0 * p[1] * (1 - p[1])
+    diff = np.abs(counts.mean(axis=0) - reference.mean(axis=0))
+    assert (diff <= 4.0 * np.sqrt(2 * var / trials)).all()
+
+    graded, successes = _per_slot_alter(row, attacked, tables, resend,
+                                        substream(59, n))
+    attack = (adversary.alice_intercept_resend if resend
+              else adversary.alice_intercept)
+    report = attack(n0, params(n=n), substream(60, n), alter_trials=trials)
+    model = report.extras["p_alter_model"]
+    sigma = math.sqrt(model * (1 - model) / graded)
+    p_reference = successes / graded
+    assert (abs(report.p_alter_empirical - p_reference)
+            <= 4.0 * math.sqrt(2) * sigma)
+    assert abs(report.p_alter_empirical - model) <= 4.0 * sigma
+    assert abs(p_reference - model) <= 4.0 * sigma
+
+
+def _enumerated_alter_probability(n, n0, bs, resend):
+    """Exact alter success of the tables by enumeration in Fractions: every
+    mismatch pattern, the first n0 slots attacked, every row per slot."""
+    tables = [[(c, Fraction(prob)) for c, prob in table]
+              for table in adversary._attack_tables(bs, resend)]
+    success = Fraction(0)
+    flippable = Fraction(0)
+    for mismatched in itertools.product((0, 1), repeat=n):
+        keys = [2 * (i < n0) + mismatched[i] for i in range(n)]
+        for slot_rows in itertools.product(*(tables[k] for k in keys)):
+            prob = Fraction(1, 2 ** n)
+            for _, p in slot_rows:
+                prob *= p
+            candidates = [c for (c, _), k in zip(slot_rows, keys)
+                          if c[2] == 0 or (resend and k >= 2)]
+            if not candidates:
+                continue
+            flippable += prob
+            unflagged = sum(c[0] > 0 and c[1] == 0 for c in candidates)
+            success += prob * Fraction(unflagged, len(candidates))
+    return success / flippable
+
+
+@pytest.mark.parametrize("resend", [False, True])
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_alter_model_probability_matches_enumeration(r, resend):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    attack = (adversary.alice_intercept_resend if resend
+              else adversary.alice_intercept)
+    for n in (2, 3, 4):
+        for n0 in range(n + 1):
+            report = attack(n0, params(n=n, bs=bs), substream(61, n, n0))
+            exact = _enumerated_alter_probability(n, n0, bs, resend)
+            assert report.extras["p_alter_model"] == pytest.approx(
+                float(exact), rel=0.0, abs=1e-12)
+
+
+def test_alter_model_probability_at_paper_scale():
+    n, n0 = 10_000, 2000
+    p = params(n=n)
+    intercept = adversary.alice_intercept(n0, p, substream(62, 0))
+    resend = adversary.alice_intercept_resend(n0, p, substream(62, 1))
+    # 40-digit quadrature of the same integrals gives 0.807694128 and
+    # 0.734372680; the paper's formulas give 0.8077 and 0.7353.
+    assert intercept.extras["p_alter_model"] == pytest.approx(0.80769413,
+                                                              abs=5e-9)
+    assert resend.extras["p_alter_model"] == pytest.approx(0.73437268,
+                                                           abs=5e-9)
+
+
+def test_intercept_model_is_none_without_flippable_slot():
+    # At r = 0 every attacked slot clicks D2, so with n0 = n nothing can be
+    # flipped; the report still carries its totals.
+    p = params(n=4, bs=optics.BeamSplitter(0.0, 1.0))
+    report = adversary.alice_intercept(4, p, substream(63, 0))
+    assert report.extras["p_alter_model"] is None
+    assert report.empirical["D2"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +440,28 @@ def test_intercept_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    full_chunk = max(1, rng_module._CHUNK_SLOTS // n)
+    # The alter loop draws one row of counts per trial.
+    rows = len(adversary._SlotTables(
+        adversary._attack_tables(BALANCED, resend=False)).rows)
+    full_chunk = max(1, rng_module._CHUNK_SLOTS // rows)
     peak(1, 1)   # one-time allocations stay out of both measurements
     assert peak(10 * full_chunk, 10 * full_chunk) <= 1.5 * peak(full_chunk,
                                                                 full_chunk)
+
+
+def test_intercept_memory_does_not_grow_with_n():
+    n, n0 = rng_module.MAX_ITEM_SLOTS, 2000
+    p = protocol.CommitmentParams(m=3, n=n)
+    tracemalloc.start()
+    try:
+        report = adversary.alice_intercept_resend(n0, p, substream(64, 0),
+                                                  alter_trials=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.extras["total_clicks"] == p.m * (n + n0)
+    assert 0.0 <= report.p_alter_empirical <= 1.0
+    assert peak < 4 * 2**20
 
 
 def test_alter_impossible_when_every_slot_confirmed():

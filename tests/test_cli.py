@@ -142,6 +142,7 @@ def test_attack_alter(capsys):
     assert res["protocol_success_m_sequences"]["analytic"] == pytest.approx(
         (5 / 6) ** 3
     )
+    assert res["trials_without_flippable_slot"] == 0
 
 
 def test_attack_alter_follows_mirror(capsys):
@@ -155,6 +156,37 @@ def test_attack_alter_follows_mirror(capsys):
     assert abs(per_seq["empirical"] - per_seq["analytic"]) < 0.1
     assert report["results"]["protocol_success_m_sequences"]["analytic"] == (
         pytest.approx((0.545 / 0.65) ** 2))
+
+
+@pytest.mark.parametrize("r, trials", [("0.5", 4000), ("0.05", 2000)])
+def test_attack_alter_grades_only_flippable_trials(capsys, r, trials):
+    # At n = 2 a trial clicks D2 on both slots with probability (t/2)^2 and
+    # leaves nothing to flip; given a flippable slot, success is exactly
+    # (1 - p) / (1 - q). Counting the others as failures read about 0.80
+    # at r = 0.5 (analytic 0.833) and 0.76 at r = 0.05 (analytic 0.955).
+    report = run_json(capsys, "attack", "--strategy", "alice-alter",
+                      "--m", "1", "--n", "2", "--trials", str(trials),
+                      "--r", r)
+    res = report["results"]
+    ungraded = res["trials_without_flippable_slot"]
+    assert 0 < ungraded < trials
+    per_seq = res["per_sequence_success"]
+    p = per_seq["analytic"]
+    sigma = math.sqrt(p * (1 - p) / (trials - ungraded))
+    assert abs(per_seq["empirical"] - p) < 4.0 * sigma
+
+
+def test_attack_alter_without_gradable_trial_is_usage_error(capsys,
+                                                            monkeypatch):
+    def nothing_to_flip(*args, **kwargs):
+        raise cli.AttackImpossibleError("sequence 0 has no unknown slot")
+
+    monkeypatch.setattr(cli.adversary, "alice_optimal_alter", nothing_to_flip)
+    code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
+                         "--m", "1", "--n", "2", "--trials", "3")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "flippable" in err
 
 
 def test_attack_alter_refuses_degenerate_mirror_before_sampling(capsys,
