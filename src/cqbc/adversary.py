@@ -14,6 +14,10 @@ exactly n + n0_resend). Sequences are sampled as counts of table rows,
 not slot by slot, so their time and memory do not grow with n; the
 reports carry the exact alter success of the tables (`p_alter_model`)
 next to the paper's formula.
+
+Bob's attacks are sampled as counts too. Alice's D2-rate check reads only
+each sequence's D2 count, a binomial with the reported per-slot rate, and
+a polarization attack only a run's click totals, one multinomial draw.
 """
 
 from __future__ import annotations
@@ -389,43 +393,53 @@ def _binomial_pmf(k: int, n: int, p: float) -> float:
                     + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
+def _slot_probabilities(bs: optics.BeamSplitter, p_eq: float) -> list:
+    """Per-slot (D0, D1, D2) probabilities when the bits match with
+    probability p_eq."""
+    eq, neq = (optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1))
+    return [p_eq * eq[det] + (1.0 - p_eq) * neq[det]
+            for det in map(optics.Detector, DETECTORS)]
+
+
 def _honest_slot_rates(bs: optics.BeamSplitter) -> tuple[float, float]:
     """Per-slot (confirmation, D2) rates with uniform bits on both sides:
     Bob confirms on D1 or an inferred D2."""
-    dists = [optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1)]
-    d1, d2 = optics.Detector.D1, optics.Detector.D2
-    return (sum(d[d1] + d[d2] for d in dists) / 2.0,
-            sum(d[d2] for d in dists) / 2.0)
+    _, d1, d2 = _slot_probabilities(bs, 0.5)
+    return d1 + d2, d2
 
 
-def _detection_runs(sample_d2_flags, params, rng, runs):
-    """Empirical trip rate of the D2 check over independent commit runs.
+def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
+    """Bob's attack graded by the trip rate of the D2 check over
+    independent commit runs, when every slot clicks D2 independently with
+    probability d2_rate.
 
-    sample_d2_flags(rng, shape) must return a boolean array of per-slot D2
-    clicks of the given (runs, m, n) shape. Returns (detection frequency,
-    mean per-slot D2 rate, per-sequence failure frequency).
+    A sequence's D2 count is then Binomial(n, d2_rate), so each run is
+    drawn as its m counts, not slot by slot.
     """
     if runs < 1:
         raise ParameterError("runs must be >= 1")
-    lo, hi = protocol.d2_window(params)
     m, n = params.m, params.n
+    check_item_slots(m * n)   # the documented limit on one run
+    lo, hi = protocol.d2_window(params)
     detected = 0
     seq_failures = 0
     d2_clicks = 0
-    for chunk in _chunks(runs, m * n):
-        counts = sample_d2_flags(rng, (chunk, m, n)).sum(axis=2)
+    for chunk in _chunks(runs, m):
+        counts = rng.binomial(n, d2_rate, (chunk, m))
         bad = (counts < lo) | (counts > hi)
         seq_failures += int(np.count_nonzero(bad))
         detected += int(np.count_nonzero(bad.any(axis=1)))
         d2_clicks += int(counts.sum())
-    return (detected / runs, d2_clicks / (runs * m * n),
-            seq_failures / (runs * m))
-
-
-def _uniform_matches(rng, shape):
-    """Slots where two independent uniform bits agree."""
-    return (rng.integers(0, 2, size=shape, dtype=np.uint8)
-            == rng.integers(0, 2, size=shape, dtype=np.uint8))
+    return AttackReport(
+        strategy=strategy,
+        params={"n": n, "m": m, **attack_params, "runs": runs},
+        expected={"d2_slot_rate": d2_rate},
+        empirical={"d2_slot_rate": d2_clicks / (runs * m * n)},
+        detection_probability=detected / runs,
+        detection_probability_analytic=d2_detection_probability(d2_rate,
+                                                                params),
+        extras={"per_sequence_failure_rate": seq_failures / (runs * m)},
+    )
 
 
 def bob_illegal_bs(
@@ -438,24 +452,8 @@ def bob_illegal_bs(
     if not 0.0 < t_prime < 1.0:
         raise ParameterError("t_prime must lie in (0, 1)")
     bs = optics.BeamSplitter.from_transmissivity(t_prime)
-    _, d2_rate = _honest_slot_rates(bs)
-
-    def sample(rng, shape):
-        return optics.sample_detectors(_uniform_matches(rng, shape), bs,
-                                       rng) == 2
-
-    detect, rate, seq_fail = _detection_runs(sample, params, rng, runs)
-    return AttackReport(
-        strategy="bob-illegal-bs",
-        params={"n": params.n, "m": params.m, "t_prime": t_prime, "runs": runs},
-        expected={"d2_slot_rate": d2_rate},
-        empirical={"d2_slot_rate": rate},
-        detection_probability=detect,
-        detection_probability_analytic=d2_detection_probability(
-            d2_rate, params
-        ),
-        extras={"per_sequence_failure_rate": seq_fail},
-    )
+    return _detection_report("bob-illegal-bs", {"t_prime": t_prime},
+                             _honest_slot_rates(bs)[1], params, rng, runs)
 
 
 def bob_multiphoton(
@@ -470,23 +468,9 @@ def bob_multiphoton(
     p_capture = optics.outcome_distribution(0, 0, params.bs)[
         optics.Detector.D2]
     p_any_capture = 1.0 - (1.0 - p_capture) ** k
-
-    def sample(rng, shape):
-        return _uniform_matches(rng, shape) & (rng.random(shape)
-                                               < p_any_capture)
-
-    detect, rate, seq_fail = _detection_runs(sample, params, rng, runs)
-    return AttackReport(
-        strategy="bob-multiphoton",
-        params={"n": params.n, "m": params.m, "k": k, "runs": runs},
-        expected={"d2_slot_rate": 0.5 * p_any_capture},
-        empirical={"d2_slot_rate": rate},
-        detection_probability=detect,
-        detection_probability_analytic=d2_detection_probability(
-            0.5 * p_any_capture, params
-        ),
-        extras={"per_sequence_failure_rate": seq_fail},
-    )
+    # A slot clicks D2 when its bits match and any photon is captured.
+    return _detection_report("bob-multiphoton", {"k": k}, 0.5 * p_any_capture,
+                             params, rng, runs)
 
 
 def bob_illegal_polarization(
@@ -504,21 +488,22 @@ def bob_illegal_polarization(
     if runs < 1:
         raise ParameterError("runs must be >= 1")
     m, n = params.m, params.n
-    confirmed = 0
-    d2_clicks = 0
-    for chunk in _chunks(runs, m * n):
-        shape = (chunk, m, n)
-        a = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        b_eff = rng.random(shape) < pol.prob_v
-        det = optics.sample_detectors(a == b_eff, params.bs, rng)
-        confirmed += int(np.count_nonzero(det))   # D1 click or D2-inferred
-        d2_clicks += int(np.count_nonzero(det == 2))
+    check_item_slots(m * n)   # the documented limit on one run
+    # Alice's bit is uniform, so the bits match with this probability
+    # whatever the polarization, and the slots' clicks are i.i.d.
+    p_eq = 0.5 * (1.0 - pol.prob_v) + 0.5 * pol.prob_v
+    slot = _slot_probabilities(params.bs, p_eq)
+    totals = np.zeros(len(DETECTORS), dtype=np.int64)
+    for chunk in _chunks(runs, len(DETECTORS)):
+        totals += rng.multinomial(m * n, slot, chunk).sum(axis=0)
+    _, d1_clicks, d2_clicks = totals.tolist()
     confirm_rate, d2_rate = _honest_slot_rates(params.bs)
     return AttackReport(
         strategy="bob-illegal-polarization",
         params={"n": params.n, "m": params.m, "prob_v": pol.prob_v,
                 "runs": runs},
         expected={"confirmation_rate": confirm_rate, "d2_slot_rate": d2_rate},
-        empirical={"confirmation_rate": confirmed / (runs * m * n),
+        empirical={"confirmation_rate": (d1_clicks + d2_clicks)
+                   / (runs * m * n),
                    "d2_slot_rate": d2_clicks / (runs * m * n)},
     )

@@ -64,8 +64,12 @@ def alice_generate(b: int, m: int, n: int,
     if n < 2:
         raise ParameterError("n must be >= 2")
     bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    prefix_parity = np.bitwise_xor.reduce(bits[:, :-1], axis=1)
-    bits[:, -1] = prefix_parity ^ (b & 1)
+    prefix = bits[:, :-1]
+    # A reduce along rows pays per row, which dominates short rows: reduce
+    # those down a transposed copy (on long rows the copy costs more).
+    parity = (np.bitwise_xor.reduce(np.ascontiguousarray(prefix.T), axis=0)
+              if n <= 32 else np.bitwise_xor.reduce(prefix, axis=1))
+    bits[:, -1] = parity ^ (b & 1)
     return BitSequenceSet(bits, committed_bit=b & 1)
 
 

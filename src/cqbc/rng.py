@@ -29,16 +29,18 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 # Largest block of slots sampled at once: one commit, one run of an attack
 # on Bob's side, or one sequence of Alice's. A commit with its verification
-# holds the most per slot, about 14 bytes by tracemalloc (Bob's attacks 10
-# to 14; the intercept attacks hold row counts, not slots), so this cap
-# keeps a block under 60 MB; larger requests are refused before anything is
-# allocated.
+# holds the most per slot, about 14 bytes by tracemalloc, so this cap keeps
+# a block under 60 MB; larger requests are refused before anything is
+# allocated. The attacks hold counts, not slots: Bob's runs one D2 count
+# per sequence (at most 8.5 bytes a slot, at n = 2), the intercept attacks
+# table-row counts.
 MAX_ITEM_SLOTS = 1 << 22
 
-# Slots (or, for the intercept alter trials, table-row counts) one Monte
-# Carlo chunk may hold. Batched samplers draw whole chunks one after another
-# from the caller's Generator, so a run's draws depend on this size; it is
-# fixed, so equal seeds still give equal results.
+# Slots (or counts: of table rows in an intercept alter trial, of D2 clicks
+# or click totals in a Bob run) one Monte Carlo chunk may hold. Batched
+# samplers draw whole chunks one after another from the caller's Generator,
+# so a run's draws depend on this size; it is fixed, so equal seeds still
+# give equal results.
 _CHUNK_SLOTS = 1 << 16
 
 

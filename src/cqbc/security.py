@@ -45,7 +45,9 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     """
     if not 0.0 < bs.r < 1.0:
         raise ParameterError("degenerate beam splitter: need 0 < r < 1")
-    exact = optics.BeamSplitter(Fraction(bs.r), Fraction(bs.t))
+    # t = 1 - r exactly: bs.t is 1 - r only up to rounding, and for a tiny
+    # r that rounding error outweighs r^2 and tips p' = 1 - r^2 / 2 past 1.
+    exact = optics.BeamSplitter(Fraction(bs.r), 1 - Fraction(bs.r))
     # Each slot's bits match or differ with probability 1/2.
     eq, neq = (
         {det: Fraction(prob) for det, prob
@@ -57,13 +59,8 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     q = (eq[d2] + neq[d2]) / 2
     # On a D0 click Bob bets the bits differed; that guess is right on the
     # whole mismatched D0 mass, on top of his confirmed slots.
+    # So q = t/2 < p = (1 - r^2)/2 < p' = 1 - r^2/2 < 1 for any 0 < r < 1.
     p_prime = p + neq[d0] / 2
-    if not 0 <= q < p < p_prime < 1:
-        # r + t = 1 holds only up to rounding; for a tiny r the rounding
-        # error outweighs r^2 and tips p' = 1 - r^2 / 2 past 1.
-        raise ParameterError(
-            f"r = {bs.r} is too close to 0 to order the channel "
-            "probabilities 0 <= q < p < p' < 1")
     return ComparisonProbs(p=p, p_prime=p_prime, q=q)
 
 
@@ -105,13 +102,18 @@ def concealing_advantage(m: int, n: int, p_prime) -> ConcealingReport:
     """epsilon = 1 - (1 - p'^n)^m and Bob's guessing advantage epsilon/2."""
     if m < 1 or n < 1:
         raise ParameterError("m and n must be >= 1")
-    pp = float(p_prime)
-    if not 0.0 < pp < 1.0:
+    if not 0 < p_prime < 1:
         raise ParameterError("need 0 < p' < 1")
-    log_ppn = n * math.log(pp)
-    ppn = math.exp(log_ppn)
-    # 1 - (1 - x)^m with x = p'^n, evaluated without cancellation.
-    epsilon = -math.expm1(m * math.log1p(-ppn))
+    # log p' from the complement 1 - p', so that an exact p' within
+    # rounding of 1 (a tiny r) still counts as below 1.
+    return _concealing_report(m, n, math.log1p(-float(1 - p_prime)))
+
+
+def _concealing_report(m: int, n: int, log_pp: float) -> ConcealingReport:
+    ppn = math.exp(n * log_pp)
+    # 1 - (1 - x)^m with x = p'^n, evaluated without cancellation. An x
+    # that rounds to 1 leaves (1 - x)^m below 2^-54, so epsilon rounds to 1.
+    epsilon = -math.expm1(m * math.log1p(-ppn)) if ppn < 1.0 else 1.0
     return ConcealingReport(
         epsilon=epsilon,
         advantage=epsilon / 2.0,
@@ -154,12 +156,15 @@ def choose_parameters(
         raise ParameterError("targets must lie in (0, 1]")
     bs = bs or optics.BeamSplitter.balanced()
     probs = comparison_probs(bs)
-    p, q, pp = float(probs.p), float(probs.q), float(probs.p_prime)
+    # From the exact probabilities: at a tiny r, p and q round to one float
+    # and p' to 1 (see concealing_advantage).
+    ratio = float((1 - probs.p) / (1 - probs.q))
+    log_pp = math.log1p(-float(1 - probs.p_prime))
 
     trace: list = []
     m = None
     for cand in range(1, max_m + 1):
-        adv = binding_advantage(cand, p, q)
+        adv = ratio ** cand   # binding_advantage(cand, p, q)
         trace.append(("m", cand, adv))
         if adv <= target_binding:
             m = cand
@@ -171,7 +176,7 @@ def choose_parameters(
 
     n = None
     for cand in range(2, max_n + 1):
-        adv = concealing_advantage(m, cand, pp).advantage
+        adv = _concealing_report(m, cand, log_pp).advantage
         trace.append(("n", cand, adv))
         if adv <= target_concealing:
             n = cand
@@ -184,8 +189,8 @@ def choose_parameters(
     return ParamSearchResult(
         m=m,
         n=n,
-        binding=binding_advantage(m, p, q),
-        concealing=concealing_advantage(m, n, pp).advantage,
+        binding=ratio ** m,
+        concealing=_concealing_report(m, n, log_pp).advantage,
         trace=trace,
     )
 

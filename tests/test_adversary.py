@@ -411,6 +411,111 @@ def test_bob_illegal_polarization_gains_nothing():
     assert report.empirical["d2_slot_rate"] == pytest.approx(0.25, abs=0.01)
 
 
+# ---------------------------------------------------------------------------
+# Bob: count draws against the per-slot sampler they replace
+# ---------------------------------------------------------------------------
+
+def _per_slot_detection_runs(sample_d2_flags, p, rng, runs):
+    """The per-slot reference: every slot of every run is drawn and its D2
+    flags summed. Returns (detection, mean D2 rate, per-sequence failure)
+    frequencies."""
+    lo, hi = protocol.d2_window(p)
+    counts = sample_d2_flags(rng, (runs, p.m, p.n)).sum(axis=2)
+    bad = (counts < lo) | (counts > hi)
+    return (np.count_nonzero(bad.any(axis=1)) / runs,
+            counts.sum() / (runs * p.m * p.n),
+            np.count_nonzero(bad) / (runs * p.m))
+
+
+def _uniform_matches(rng, shape):
+    return (rng.integers(0, 2, size=shape, dtype=np.uint8)
+            == rng.integers(0, 2, size=shape, dtype=np.uint8))
+
+
+def _assert_three_agree(sampled, reference, exact, trials):
+    """The count sampler and the per-slot reference each lie within 4 sigma
+    of the exact frequency, and within 4 sigma of each other."""
+    sigma = math.sqrt(exact * (1.0 - exact) / trials)
+    assert abs(sampled - exact) <= 4.0 * sigma
+    assert abs(reference - exact) <= 4.0 * sigma
+    assert abs(sampled - reference) <= 4.0 * math.sqrt(2.0) * sigma
+
+
+@pytest.mark.parametrize("attack, arg", [("bs", 0.5), ("bs", 0.8),
+                                         ("multiphoton", 2),
+                                         ("multiphoton", 3)])
+def test_bob_d2_counts_match_per_slot_sampler(attack, arg):
+    p = protocol.CommitmentParams(m=4, n=16)
+    runs = 20_000
+    if attack == "bs":
+        report = adversary.bob_illegal_bs(arg, p, substream(65, 0), runs)
+        bs = optics.BeamSplitter.from_transmissivity(arg)
+
+        def sample(rng, shape):
+            return optics.sample_detectors(_uniform_matches(rng, shape), bs,
+                                           rng) == 2
+    else:
+        report = adversary.bob_multiphoton(arg, p, substream(65, 1), runs)
+        p_capture = optics.outcome_distribution(0, 0, p.bs)[
+            optics.Detector.D2]
+        p_any_capture = 1.0 - (1.0 - p_capture) ** arg
+
+        def sample(rng, shape):
+            return _uniform_matches(rng, shape) & (rng.random(shape)
+                                                   < p_any_capture)
+    rate = report.expected["d2_slot_rate"]
+    reference = _per_slot_detection_runs(sample, p,
+                                         substream(66, int(10 * arg)), runs)
+    sampled = (report.detection_probability, report.empirical["d2_slot_rate"],
+               report.extras["per_sequence_failure_rate"])
+    exact = (report.detection_probability_analytic, rate,
+             adversary.d2_detection_probability(
+                 rate, protocol.CommitmentParams(m=1, n=p.n)))
+    trials = (runs, runs * p.m * p.n, runs * p.m)
+    for args in zip(sampled, reference, exact, trials):
+        _assert_three_agree(*args)
+
+
+@pytest.mark.parametrize("prob_v", [0.0, 0.2, 0.5, 1.0])
+def test_bob_polarization_totals_match_per_slot_sampler(prob_v):
+    p = protocol.CommitmentParams(m=4, n=16)
+    runs = 5000
+    pol = optics.Polarization(math.sqrt(1.0 - prob_v), math.sqrt(prob_v))
+    report = adversary.bob_illegal_polarization(pol, p, substream(67, 0),
+                                                runs)
+    # The per-slot reference: uniform bits for Alice, Bob's comparison bit
+    # re-randomized by the PBS.
+    rng = substream(68, int(10 * prob_v))
+    shape = (runs, p.m, p.n)
+    a = rng.integers(0, 2, size=shape, dtype=np.uint8)
+    b_eff = rng.random(shape) < pol.prob_v
+    det = optics.sample_detectors(a == b_eff, p.bs, rng)
+    slots = runs * p.m * p.n
+    reference = {"confirmation_rate": np.count_nonzero(det) / slots,
+                 "d2_slot_rate": np.count_nonzero(det == 2) / slots}
+    for key, exact in report.expected.items():
+        _assert_three_agree(report.empirical[key], reference[key], exact,
+                            slots)
+
+
+@pytest.mark.parametrize("attack", [
+    lambda p, rng: adversary.bob_illegal_bs(0.8, p, rng, runs=3),
+    lambda p, rng: adversary.bob_illegal_polarization(optics.PLUS, p, rng,
+                                                      runs=3),
+])
+def test_bob_attack_memory_holds_counts_not_slots(attack):
+    side = 1 << 11
+    p = protocol.CommitmentParams(m=side, n=side)
+    assert p.m * p.n == rng_module.MAX_ITEM_SLOTS
+    tracemalloc.start()
+    try:
+        attack(p, substream(69, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_chunk_boundaries_keep_counts_exact(monkeypatch):
     # One slot per chunk: every trial and run is a chunk of its own.
     monkeypatch.setattr(rng_module, "_CHUNK_SLOTS", 1)

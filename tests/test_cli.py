@@ -304,6 +304,20 @@ def test_params_infeasible_exit_code(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("r", ["1e-20", "1e-12", "3e-9"])
+def test_params_tiny_r_mirror_is_not_refused(capsys, r):
+    # At these mirrors p, q and p' round to each other, or to 1, as floats.
+    code, out, err = run(capsys, "params", "--r", r,
+                         "--target-binding", "1e-3",
+                         "--target-concealing", "1e-3")
+    assert code == cli.EXIT_INFEASIBLE, err
+    assert out == "" and "binding target" in err
+    report = run_json(capsys, "params", "--r", r, "--target-binding", "1",
+                      "--target-concealing", "1")
+    assert report["results"]["chosen"] == {"m": 1, "n": 2}
+    assert report["results"]["report"]["concealing"]["advantage"] <= 0.5
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
@@ -388,14 +402,32 @@ def test_csv_unsupported_for_params_like_reports(capsys):
     assert "CSV" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _run_python(probe):
+    """Run `probe` in a fresh interpreter that imports this cqbc."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, cqbc.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert _run_python(probe).stdout.strip() == "False"
+
+
+def test_cli_runs_without_scipy():
+    # A None entry makes any `import scipy` fail, installed or not.
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cqbc import cli\n"
+        "codes = [cli.main(['params', '--target-binding', '3e-6',\n"
+        "                   '--target-concealing', '1.1e-6']),\n"
+        "         cli.main(['attack', '--strategy', 'bob-bs',\n"
+        "                   '--runs', '10'])]\n"
+        "print(codes, file=sys.stderr)\n")
+    assert _run_python(probe).stderr.strip().splitlines()[-1] == "[0, 0]"
 
 
 # ---------------------------------------------------------------------------

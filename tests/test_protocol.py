@@ -42,6 +42,16 @@ def test_alice_parity_constraint(b, m, n, seed):
     assert seqs.committed_bit == b
 
 
+@pytest.mark.parametrize("m, n", [(32768, 2), (21845, 3), (70, 130), (1, 32)])
+def test_alice_generate_parity_matches_row_reduce(m, n):
+    # Short rows take their parity down the columns of a transposed copy;
+    # the bits must equal those of a plain reduce along each row.
+    bits = substream(102, m, n).integers(0, 2, size=(m, n), dtype=np.uint8)
+    bits[:, -1] = np.bitwise_xor.reduce(bits[:, :-1], axis=1) ^ 1
+    seqs = protocol.alice_generate(1, m, n, substream(102, m, n))
+    assert np.array_equal(seqs.bits, bits)
+
+
 def test_alice_generate_uniform_over_parity_class():
     """Frequency oracle: each of the 2^(n-1) strings with the right parity
     appears with near-equal frequency, and no wrong-parity string appears."""

@@ -50,6 +50,21 @@ def test_comparison_probs_ordering(r):
     assert probs.p_prime == probs.p + Fraction(1, 2)
 
 
+@pytest.mark.parametrize("r", [1e-20, 1e-12, 3e-9])
+def test_comparison_probs_tiny_r_mirror(r):
+    # The float t = 1 - r is off by up to half an ulp of 1, which outweighs
+    # r^2 here; the exact mirror must be built from r alone.
+    probs = security.comparison_probs(optics.BeamSplitter(r, 1.0 - r))
+    exact_r = Fraction(r)
+    assert probs.q == (1 - exact_r) / 2
+    assert probs.p == (1 - exact_r ** 2) / 2
+    assert probs.p_prime == 1 - exact_r ** 2 / 2
+    assert 0 < probs.q < probs.p < probs.p_prime < 1
+    # p' rounds to 1 as a float, yet the concealing advantage is defined.
+    report = security.concealing_advantage(1, 2, probs.p_prime)
+    assert 0.0 < report.advantage <= 0.5
+
+
 # ---------------------------------------------------------------------------
 # binding
 # ---------------------------------------------------------------------------
