@@ -182,7 +182,9 @@ def _alter_success_loop(n, n0, tables, flip, rng, trials):
     Bob's record of that slot does not contradict the flip. Picking the
     k-th candidate slot, k uniform below their number, picks each row with
     probability proportional to its candidate count, so a trial needs only
-    its row counts. Trials without a candidate are not graded.
+    its row counts. Trials without a candidate are not graded; their number
+    is returned too. At n0 = 0 this is the alter of an honest commit, graded
+    by the protocol's rule without its D2-rate window.
     """
     candidate, unflagged = flip
     successes = 0
@@ -198,7 +200,7 @@ def _alter_success_loop(n, n0, tables, flip, rng, trials):
         del cum, total, k, pick   # free this chunk before drawing the next
     if graded == 0:
         raise AttackImpossibleError("no flippable slot in any trial")
-    return successes / graded
+    return successes / graded, trials - graded
 
 
 def _alter_model_probability(n, n0, tables, flip):
@@ -287,9 +289,10 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
                            rng) @ tables.rows
     expected, std = tables.expected_totals(n, n0)
     p_emp = None
-    if alter_trials:
-        p_emp = _alter_success_loop(n, n0, tables, flip, rng, alter_trials)
     extras = {"total_clicks": int(totals.sum())}
+    if alter_trials:
+        p_emp, extras["trials_without_flippable_slot"] = _alter_success_loop(
+            n, n0, tables, flip, rng, alter_trials)
     if resend:
         strategy = "alice-intercept-resend"
         p_alter = resend_alter_probability(n, n0)
@@ -371,18 +374,37 @@ def d2_detection_probability(
     """Probability that the D2-rate check trips when each slot clicks D2
     with probability p_slot (exact binomial, across all m sequences).
 
-    A sequence fails with the binomial mass outside the window, summed term
-    by term in log space, so a small tail keeps its relative precision.
+    A sequence fails with the binomial mass outside the window: with the
+    mean inside it, each tail summed in log space outward from the window
+    until its terms stop adding (so a small tail keeps its relative
+    precision), else the window's complement, at least about 1/2.
     """
     if not 0.0 <= p_slot <= 1.0:
         raise ParameterError("p_slot must lie in [0, 1]")
     lo, hi = protocol.d2_window(params)
     n = params.n
-    fail = math.fsum(_binomial_pmf(k, n, p_slot)
-                     for k in range(n + 1) if k < lo or k > hi)
+    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
+    if lo <= n * p_slot <= hi:
+        fail = (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)
+                + _tail_mass(range(window.stop, n + 1), n, p_slot))
+    else:
+        fail = 1.0 - math.fsum(_binomial_pmf(k, n, p_slot) for k in window)
     if fail >= 1.0:
         return 1.0
     return -math.expm1(params.m * math.log1p(-fail))
+
+
+def _tail_mass(ks: range, n: int, p: float) -> float:
+    """Binomial mass over ks, which lead away from the mode from at or past
+    it: summed until a term falls below 2^-60 of the running sum."""
+    terms, total = [], 0.0
+    for k in ks:
+        term = _binomial_pmf(k, n, p)
+        terms.append(term)
+        total += term
+        if term <= total * 2.0 ** -60:
+            break
+    return math.fsum(terms)
 
 
 def _binomial_pmf(k: int, n: int, p: float) -> float:

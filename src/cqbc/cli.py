@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import adversary, optics, protocol, security
 from .errors import (
@@ -126,13 +123,15 @@ def cmd_table1(args) -> tuple[dict, list, list]:
     return results, rows, header
 
 
+def _commitment_params(args) -> protocol.CommitmentParams:
+    return protocol.CommitmentParams(
+        m=args.m, n=args.n, bs=optics.BeamSplitter(args.r, 1.0 - args.r),
+        master_seed=args.seed)
+
+
 def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
-    params = protocol.CommitmentParams(
-        m=args.m, n=args.n,
-        bs=optics.BeamSplitter(args.r, 1.0 - args.r),
-        master_seed=args.seed,
-    )
-    transcript = protocol.run_commit_phase(params, b=args.bit)
+    transcript = protocol.run_commit_phase(_commitment_params(args),
+                                           b=args.bit)
     opening = transcript.honest_opening()
     if args.open_bit is not None:
         opening.claimed_bit = args.open_bit
@@ -148,34 +147,19 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
 
 
 def _attack_alice_alter(args, params, rng) -> dict:
-    """Per-sequence alter success sampled by full commit/alter/verify
-    loops; the m-sequence success probability is composed analytically
-    (naive full-protocol sampling of a ~1e-6 event is hopeless). A trial
-    whose every slot clicked D2 leaves Alice nothing to flip: it is counted
-    apart and not graded."""
+    """Per-sequence alter success of an honest commit, sampled as the
+    intercept attack on no slot; the m-sequence success probability is
+    composed analytically (naive full-protocol sampling of a ~1e-6 event is
+    hopeless). A trial whose every slot clicked D2 leaves Alice nothing to
+    flip: it is counted apart and not graded."""
     if args.trials < 1:
         raise ParameterError("alice-alter needs --trials >= 1")
     # A degenerate mirror has no analytic value; refuse it before sampling.
     probs = security.comparison_probs(params.bs)
     analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
-    successes = 0
-    ungraded = 0
-    for _ in range(args.trials):
-        trial = dataclasses.replace(
-            params, m=1, master_seed=int(rng.integers(0, 2**62))
-        )
-        transcript = protocol.run_commit_phase(trial)
-        target = 1 - int(transcript.alice.committed_bit)
-        try:
-            opening = adversary.alice_optimal_alter(transcript, target, rng)
-        except AttackImpossibleError:
-            ungraded += 1
-            continue
-        if protocol.bob_verify_opening(transcript, opening).accepted:
-            successes += 1
-    if ungraded == args.trials:
-        raise AttackImpossibleError("no flippable slot in any trial")
-    per_seq = successes / (args.trials - ungraded)
+    report = adversary.alice_intercept(0, params, rng,
+                                       alter_trials=args.trials)
+    per_seq = report.p_alter_empirical
     return {
         "per_sequence_success": {"empirical": per_seq,
                                  "analytic": analytic_seq},
@@ -185,7 +169,8 @@ def _attack_alice_alter(args, params, rng) -> dict:
             "analytic": analytic_seq ** args.m,
         },
         "trials": args.trials,
-        "trials_without_flippable_slot": ungraded,
+        "trials_without_flippable_slot":
+            report.extras["trials_without_flippable_slot"],
     }
 
 
@@ -208,13 +193,8 @@ _ATTACKS = {
 
 
 def cmd_attack(args) -> tuple[dict, list, list]:
-    params = protocol.CommitmentParams(
-        m=args.m, n=args.n,
-        bs=optics.BeamSplitter(args.r, 1.0 - args.r),
-        master_seed=args.seed,
-    )
     rng = substream(args.seed, 20)
-    results = _ATTACKS[args.strategy](args, params, rng)
+    results = _ATTACKS[args.strategy](args, _commitment_params(args), rng)
 
     rows, header = None, None
     if "expected" in results and "empirical" in results:
@@ -227,14 +207,12 @@ def cmd_attack(args) -> tuple[dict, list, list]:
 
 
 def cmd_params(args) -> tuple[dict, list, list]:
+    bs = optics.BeamSplitter(args.r, 1.0 - args.r)
     result = security.choose_parameters(
-        args.target_binding, args.target_concealing,
-        optics.BeamSplitter(args.r, 1.0 - args.r),
+        args.target_binding, args.target_concealing, bs,
         max_m=args.max_m, max_n=args.max_n,
     )
-    report = security.security_report(
-        result.m, result.n, optics.BeamSplitter(args.r, 1.0 - args.r)
-    )
+    report = security.security_report(result.m, result.n, bs)
     results = {
         "chosen": {"m": result.m, "n": result.n},
         "report": report.to_dict(),

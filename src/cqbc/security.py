@@ -162,30 +162,11 @@ def choose_parameters(
     log_pp = math.log1p(-float(1 - probs.p_prime))
 
     trace: list = []
-    m = None
-    for cand in range(1, max_m + 1):
-        adv = ratio ** cand   # binding_advantage(cand, p, q)
-        trace.append(("m", cand, adv))
-        if adv <= target_binding:
-            m = cand
-            break
-    if m is None:
-        raise InfeasibleTargetError(
-            f"binding target {target_binding} unreachable with m <= {max_m}"
-        )
-
-    n = None
-    for cand in range(2, max_n + 1):
-        adv = _concealing_report(m, cand, log_pp).advantage
-        trace.append(("n", cand, adv))
-        if adv <= target_concealing:
-            n = cand
-            break
-    if n is None:
-        raise InfeasibleTargetError(
-            f"concealing target {target_concealing} unreachable with n <= {max_n}"
-        )
-
+    m = _first_meeting("binding", "m", 1, max_m, target_binding,
+                       lambda cand: ratio ** cand, trace)
+    n = _first_meeting(
+        "concealing", "n", 2, max_n, target_concealing,
+        lambda cand: _concealing_report(m, cand, log_pp).advantage, trace)
     return ParamSearchResult(
         m=m,
         n=n,
@@ -193,6 +174,24 @@ def choose_parameters(
         concealing=_concealing_report(m, n, log_pp).advantage,
         trace=trace,
     )
+
+
+def _first_meeting(target_name, parameter, first, last, target, advantage,
+                   trace) -> int:
+    """The smallest value in [first, last] whose advantage meets target,
+    each value tried appended to trace. The advantage never grows with the
+    value, so when the last one misses the target, all do."""
+    if last < first or advantage(last) > target:
+        raise InfeasibleTargetError(
+            f"{target_name} target {target} unreachable with "
+            f"{parameter} <= {last}")
+    value = first
+    while True:
+        adv = advantage(value)
+        trace.append((parameter, value, adv))
+        if adv <= target:
+            return value
+        value += 1
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,26 @@ def test_d2_detection_probability_matches_exact_sum(n, p_slot):
             _exact_d2_detection(p_slot, p), rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("p_slot", [0.25, 0.249, 0.4])
+def test_d2_detection_probability_sums_only_near_the_window(monkeypatch,
+                                                            p_slot):
+    # The mean inside the window (0.25), just below it and far above it:
+    # the window is 8 sigma wide, and each tail stops within a few sigma.
+    n = rng_module.MAX_ITEM_SLOTS
+    calls = []
+    pmf = adversary._binomial_pmf
+
+    def counted(*args):
+        calls.append(args)
+        return pmf(*args)
+
+    monkeypatch.setattr(adversary, "_binomial_pmf", counted)
+    detect = adversary.d2_detection_probability(
+        p_slot, protocol.CommitmentParams(m=1, n=n))
+    assert 0.0 < detect <= 1.0
+    assert len(calls) < 10 * math.sqrt(n)
+
+
 def test_bob_illegal_bs_detected():
     p = protocol.CommitmentParams(m=70, n=130)
     report = adversary.bob_illegal_bs(0.8, p, substream(45, 0), runs=50)

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqbc import cli
+from cqbc import adversary, cli, optics, protocol
+from cqbc.errors import AttackImpossibleError
+from cqbc.rng import substream
 
 
 def run(capsys, *argv):
@@ -176,30 +178,95 @@ def test_attack_alter_grades_only_flippable_trials(capsys, r, trials):
     assert abs(per_seq["empirical"] - p) < 4.0 * sigma
 
 
-def test_attack_alter_without_gradable_trial_is_usage_error(capsys,
-                                                            monkeypatch):
-    def nothing_to_flip(*args, **kwargs):
-        raise cli.AttackImpossibleError("sequence 0 has no unknown slot")
-
-    monkeypatch.setattr(cli.adversary, "alice_optimal_alter", nothing_to_flip)
+def test_attack_alter_without_gradable_trial_is_usage_error(capsys):
+    # At r = 0.05 both slots of this seed's one trial click D2, which
+    # happens with probability (t/2)^2 = 0.23.
     code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
-                         "--m", "1", "--n", "2", "--trials", "3")
+                         "--m", "1", "--n", "2", "--trials", "1",
+                         "--r", "0.05", "--seed", "15")
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert err.startswith("error:") and "flippable" in err
+    assert err == "error: no flippable slot in any trial\n"
 
 
 def test_attack_alter_refuses_degenerate_mirror_before_sampling(capsys,
                                                                monkeypatch):
-    def no_commit(*args, **kwargs):
-        raise AssertionError("sampled a commit before refusing the mirror")
+    def no_attack(*args, **kwargs):
+        raise AssertionError("sampled an alter before refusing the mirror")
 
-    monkeypatch.setattr(cli.protocol, "run_commit_phase", no_commit)
+    monkeypatch.setattr(cli.adversary, "alice_intercept", no_attack)
     code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
                          "--r", "0", "--m", "1", "--n", "32")
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert "degenerate" in err
+
+
+def _protocol_alter(n, r, trials):
+    """Success rate and ungraded trials of Alice's one-bit alter over full
+    protocol runs: an honest one-sequence commit, the forged opening, and
+    Bob's verification of it."""
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    rng = substream(77, n)
+    successes = ungraded = 0
+    for seed in range(trials):
+        transcript = protocol.run_commit_phase(protocol.CommitmentParams(
+            m=1, n=n, bs=bs, master_seed=seed))
+        target = 1 - transcript.alice.committed_bit
+        try:
+            opening = adversary.alice_optimal_alter(transcript, target, rng)
+        except AttackImpossibleError:
+            ungraded += 1
+            continue
+        successes += protocol.bob_verify_opening(transcript, opening).accepted
+    return successes / (trials - ungraded), ungraded
+
+
+@pytest.mark.parametrize("n, r", [(2, 0.05), (8, 0.5), (32, 0.3)])
+def test_attack_alter_matches_protocol_loop(capsys, n, r):
+    # The row-count sampler against commit/alter/verify runs. The protocol
+    # also rejects honest commits that trip the D2-rate window, at most
+    # about 4e-4 of them here, far below the 4-sigma bounds.
+    trials = 3000
+    res = run_json(capsys, "attack", "--strategy", "alice-alter", "--m", "1",
+                   "--n", str(n), "--r", str(r), "--trials", str(trials),
+                   "--seed", "16")["results"]
+    p = res["per_sequence_success"]["analytic"]
+    no_flip = ((1.0 - r) / 2.0) ** n
+    sides = [(res["per_sequence_success"]["empirical"],
+              res["trials_without_flippable_slot"]),
+             _protocol_alter(n, r, trials)]
+    variances = [p * (1 - p) / (trials - ungraded) for _, ungraded in sides]
+    for (rate, ungraded), variance in zip(sides, variances):
+        assert abs(rate - p) < 4.0 * math.sqrt(variance)
+        # An ungraded count is an integer: one trial of slack on top of
+        # 4 sigma, for the n where (t/2)^n is far below 1 / trials.
+        assert abs(ungraded / trials - no_flip) < (
+            4.0 * math.sqrt(no_flip * (1 - no_flip) / trials) + 1 / trials)
+    assert abs(sides[0][0] - sides[1][0]) < 4.0 * math.sqrt(sum(variances))
+
+
+@pytest.mark.parametrize("strategy, n, n0, r, no_flip", [
+    # An unattacked slot is Alice's D2 with t/2; an intercepted one with
+    # 1 - r/2 (a mismatch hands her the photon); a resent one never is.
+    ("alice-intercept", 4, 2, 0.5, 0.25 ** 2 * 0.75 ** 2),
+    ("alice-intercept", 2, 0, 0.05, 0.475 ** 2),
+    ("alice-intercept-resend", 3, 0, 0.3, 0.35 ** 3),
+    ("alice-intercept-resend", 3, 1, 0.3, 0.0),
+])
+def test_intercept_reports_trials_without_flippable_slot(capsys, strategy, n,
+                                                         n0, r, no_flip):
+    trials = 4000
+    argv = ("attack", "--strategy", strategy, "--m", "1", "--n", str(n),
+            "--n0", str(n0), "--r", str(r), "--seed", "17")
+    extras = run_json(capsys, *argv, "--trials",
+                      str(trials))["results"]["extras"]
+    share = extras["trials_without_flippable_slot"] / trials
+    assert abs(share - no_flip) < 4.0 * math.sqrt(
+        no_flip * (1 - no_flip) / trials) + 1 / trials
+    # No alter trial, nothing to report.
+    extras = run_json(capsys, *argv, "--trials", "0")["results"]["extras"]
+    assert "trials_without_flippable_slot" not in extras
 
 
 def test_attack_bob_bs(capsys):
@@ -302,6 +369,34 @@ def test_params_infeasible_exit_code(capsys):
                        "--target-concealing", "0.5", "--max-m", "10")
     assert code == cli.EXIT_INFEASIBLE
     assert "infeasible" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--r", "1e-20", "--target-binding", "1", "--target-concealing", "1e-3"),
+     "concealing target 0.001 unreachable with n <= 1000000"),
+    (("--r", "0.01", "--target-binding", "0.5",
+      "--target-concealing", "1e-300"),
+     "concealing target 1e-300 unreachable with n <= 1000000"),
+    (("--r", "1e-20", "--target-binding", "1e-3",
+      "--target-concealing", "1e-3"),
+     "binding target 0.001 unreachable with m <= 100000"),
+])
+def test_params_refuses_unmet_target_without_scanning(capsys, monkeypatch,
+                                                      argv, message):
+    # Both advantages are monotone, so the value at --max-m or --max-n
+    # settles feasibility; a scan would evaluate up to 10^6 of them.
+    calls = []
+    concealing_report = cli.security._concealing_report
+
+    def counted(*args):
+        calls.append(args)
+        return concealing_report(*args)
+
+    monkeypatch.setattr(cli.security, "_concealing_report", counted)
+    code, out, err = run(capsys, "params", *argv)
+    assert code == cli.EXIT_INFEASIBLE
+    assert out == "" and err == f"infeasible: {message}\n"
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("r", ["1e-20", "1e-12", "3e-9"])
