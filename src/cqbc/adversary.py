@@ -179,25 +179,22 @@ def _alter_success_loop(n, n0, tables, flip, rng, trials):
 
     Per the attack analysis, success is graded on the flipped slot alone:
     Alice flips one bit she cannot tell Bob confirmed, and succeeds iff
-    Bob's record of that slot does not contradict the flip. Picking the
-    k-th candidate slot, k uniform below their number, picks each row with
-    probability proportional to its candidate count, so a trial needs only
-    its row counts. Trials without a candidate are not graded; their number
-    is returned too. At n0 = 0 this is the alter of an honest commit, graded
+    Bob's record of that slot does not contradict the flip. A uniform pick
+    among the candidate slots is unflagged with probability unflagged
+    candidates / candidates, so a trial needs only its row counts and one
+    uniform. Trials without a candidate are not graded; their number is
+    returned too. At n0 = 0 this is the alter of an honest commit, graded
     by the protocol's rule without its D2-rate window.
     """
     candidate, unflagged = flip
+    # Per trial: its candidate slots and its unflagged candidate slots.
+    masks = np.column_stack([candidate, candidate & unflagged])
     successes = 0
     graded = 0
     for chunk in _chunks(trials, len(tables.rows)):
-        cum = np.cumsum(tables.counts(n - n0, n0, rng, chunk) * candidate,
-                        axis=1)
-        total = cum[:, -1]
-        k = rng.integers(0, np.maximum(total, 1))
-        pick = np.argmax(cum > k[:, None], axis=1)
-        graded += int(np.count_nonzero(total))
-        successes += int(np.count_nonzero(unflagged[pick] & (total > 0)))
-        del cum, total, k, pick   # free this chunk before drawing the next
+        candidates, good = (tables.counts(n - n0, n0, rng, chunk) @ masks).T
+        graded += int(np.count_nonzero(candidates))
+        successes += int((rng.random(chunk) * candidates < good).sum())
     if graded == 0:
         raise AttackImpossibleError("no flippable slot in any trial")
     return successes / graded, trials - graded
@@ -415,18 +412,17 @@ def _binomial_pmf(k: int, n: int, p: float) -> float:
                     + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _slot_probabilities(bs: optics.BeamSplitter, p_eq: float) -> list:
-    """Per-slot (D0, D1, D2) probabilities when the bits match with
-    probability p_eq."""
+def _slot_probabilities(bs: optics.BeamSplitter) -> list:
+    """Per-slot (D0, D1, D2) probabilities when the bits match w.p. 1/2."""
     eq, neq = (optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1))
-    return [p_eq * eq[det] + (1.0 - p_eq) * neq[det]
+    return [0.5 * eq[det] + 0.5 * neq[det]
             for det in map(optics.Detector, DETECTORS)]
 
 
 def _honest_slot_rates(bs: optics.BeamSplitter) -> tuple[float, float]:
     """Per-slot (confirmation, D2) rates with uniform bits on both sides:
     Bob confirms on D1 or an inferred D2."""
-    _, d1, d2 = _slot_probabilities(bs, 0.5)
+    _, d1, d2 = _slot_probabilities(bs)
     return d1 + d2, d2
 
 
@@ -511,10 +507,9 @@ def bob_illegal_polarization(
         raise ParameterError("runs must be >= 1")
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
-    # Alice's bit is uniform, so the bits match with this probability
+    # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
-    p_eq = 0.5 * (1.0 - pol.prob_v) + 0.5 * pol.prob_v
-    slot = _slot_probabilities(params.bs, p_eq)
+    slot = _slot_probabilities(params.bs)
     totals = np.zeros(len(DETECTORS), dtype=np.int64)
     for chunk in _chunks(runs, len(DETECTORS)):
         totals += rng.multinomial(m * n, slot, chunk).sum(axis=0)

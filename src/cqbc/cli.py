@@ -212,14 +212,13 @@ def cmd_params(args) -> tuple[dict, list, list]:
         args.target_binding, args.target_concealing, bs,
         max_m=args.max_m, max_n=args.max_n,
     )
-    report = security.security_report(result.m, result.n, bs)
+    trace = result.to_dict()["trace"]
     results = {
         "chosen": {"m": result.m, "n": result.n},
-        "report": report.to_dict(),
-        "search_trace": result.to_dict()["trace"],
+        "report": security.security_report(result.m, result.n, bs).to_dict(),
+        "search_trace": trace,
     }
-    rows = [[p, v, a] for p, v, a in result.trace]
-    return results, rows, ["parameter", "value", "advantage"]
+    return results, [list(row.values()) for row in trace], list(trace[0])
 
 
 # ---------------------------------------------------------------------------

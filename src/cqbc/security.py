@@ -127,7 +127,7 @@ class ParamSearchResult:
     n: int
     binding: float
     concealing: float
-    trace: list = field(default_factory=list)  # (parameter, value, bound) rows
+    trace: list = field(default_factory=list)  # (parameter, value, advantage)
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +151,9 @@ def choose_parameters(
 ) -> ParamSearchResult:
     """Smallest m meeting the binding target, then smallest n >= 2 meeting
     the concealing target at that m. Both advantages are monotone in their
-    parameter, so the linear scans return the minimal pair."""
+    parameter, so bisecting each range returns the minimal pair. trace
+    holds the values tried: ceil(log2 max_m) + ceil(log2(max_n - 1)) + 2
+    rows at most."""
     if not (0.0 < target_binding <= 1.0 and 0.0 < target_concealing <= 1.0):
         raise ParameterError("targets must lie in (0, 1]")
     bs = bs or optics.BeamSplitter.balanced()
@@ -178,20 +180,24 @@ def choose_parameters(
 
 def _first_meeting(target_name, parameter, first, last, target, advantage,
                    trace) -> int:
-    """The smallest value in [first, last] whose advantage meets target,
-    each value tried appended to trace. The advantage never grows with the
-    value, so when the last one misses the target, all do."""
-    if last < first or advantage(last) > target:
+    """The smallest value in [first, last] whose advantage meets target, by
+    bisection, each value tried appended to trace. The advantage never
+    grows with the value, so when the last one misses the target, all do.
+    lo misses (first - 1 counts as missing) and hi meets the target, so the
+    result's predecessor misses even where the advantage is not monotone."""
+    top = advantage(last) if first <= last else math.inf
+    if top > target:
         raise InfeasibleTargetError(
             f"{target_name} target {target} unreachable with "
             f"{parameter} <= {last}")
-    value = first
-    while True:
-        adv = advantage(value)
-        trace.append((parameter, value, adv))
-        if adv <= target:
-            return value
-        value += 1
+    trace.append((parameter, last, top))
+    lo, hi = first - 1, last
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        adv = advantage(mid)
+        trace.append((parameter, mid, adv))
+        lo, hi = (lo, mid) if adv <= target else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------

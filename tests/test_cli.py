@@ -2,6 +2,7 @@
 determinism, CSV export, and config-file layering."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -411,6 +412,27 @@ def test_params_tiny_r_mirror_is_not_refused(capsys, r):
                       "--target-concealing", "1")
     assert report["results"]["chosen"] == {"m": 1, "n": 2}
     assert report["results"]["report"]["concealing"]["advantage"] <= 0.5
+
+
+def test_params_bisects_a_long_range(capsys):
+    # A scan from n = 2 would try, and report, each of 485 843 values.
+    report = run_json(capsys, "params", "--r", "0.01",
+                      "--target-binding", "0.5",
+                      "--target-concealing", "1e-9")
+    assert report["results"]["chosen"] == {"m": 71, "n": 485_844}
+    assert len(report["results"]["search_trace"]) <= 39
+
+
+def test_params_csv_rows_are_the_json_trace(capsys):
+    argv = ("params", "--target-binding", "3e-6",
+            "--target-concealing", "1.1e-6")
+    trace = run_json(capsys, *argv)["results"]["search_trace"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == cli.EXIT_OK, err
+    rows = [{"parameter": row["parameter"], "value": int(row["value"]),
+             "advantage": float(row["advantage"])}
+            for row in csv.DictReader(io.StringIO(out))]
+    assert rows == trace
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 the parameter solver."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,52 @@ def test_choose_parameters_trace_records_scan():
     assert d["m"] == res.m and len(d["trace"]) == len(res.trace)
 
 
+def _scan_parameters(target_binding, target_concealing, bs, max_m, max_n):
+    """The solver's answer by linear scans: the first m in [1, max_m], then
+    the first n in [2, max_n], meeting each target with the solver's own
+    advantages; or the message of the target that none meets."""
+    probs = security.comparison_probs(bs)
+    ratio = float((1 - probs.p) / (1 - probs.q))
+    log_pp = math.log1p(-float(1 - probs.p_prime))
+    m = next((m for m in range(1, max_m + 1)
+              if ratio ** m <= target_binding), None)
+    if m is None:
+        return (f"binding target {target_binding} unreachable with "
+                f"m <= {max_m}")
+    n = next((n for n in range(2, max_n + 1)
+              if security._concealing_report(m, n, log_pp).advantage
+              <= target_concealing), None)
+    if n is None:
+        return (f"concealing target {target_concealing} unreachable with "
+                f"n <= {max_n}")
+    return m, n
+
+
+_targets = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.one_of(st.floats(0.01, 0.99),
+                   st.floats(-20.0, -2.0).map(lambda e: 10.0 ** e)),
+       target_binding=_targets, target_concealing=_targets,
+       max_m=st.integers(0, 2000), max_n=st.integers(0, 2000))
+def test_choose_parameters_matches_linear_scan(r, target_binding,
+                                               target_concealing, max_m,
+                                               max_n):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    try:
+        res = security.choose_parameters(target_binding, target_concealing,
+                                         bs, max_m=max_m, max_n=max_n)
+    except InfeasibleTargetError as exc:
+        got = str(exc)
+    else:
+        got = (res.m, res.n)
+        assert len(res.trace) <= (math.ceil(math.log2(max_m))
+                                  + math.ceil(math.log2(max_n - 1)) + 2)
+    assert got == _scan_parameters(target_binding, target_concealing, bs,
+                                   max_m, max_n)
+
+
 def test_choose_parameters_infeasible():
     with pytest.raises(InfeasibleTargetError):
         security.choose_parameters(1e-30, 0.5, max_m=10)
@@ -229,3 +277,22 @@ def test_security_report_contents():
     assert 0.9e-6 <= d["concealing"]["advantage"] <= 1.1e-6
     import json
     assert json.loads(json.dumps(d, sort_keys=True)) == d
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_example_runs_as_written(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(),
+                      re.DOTALL).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["probs"].p == Fraction(3, 8)
+    # Each print line documents its output in a trailing comment.
+    printed = capsys.readouterr().out.split()
+    documented = re.findall(r"print\(.*#\s*~?(\S+)", block)
+    assert len(printed) == len(documented) == 3
+    for out, doc in zip(printed, documented):
+        assert float(out) == pytest.approx(float(doc), rel=5e-3)
