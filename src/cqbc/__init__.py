@@ -7,7 +7,6 @@ from .optics import (
     Detector,
     PhotonState,
     Polarization,
-    SwitchSchedule,
     outcome_distribution,
     run_slot,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Detector",
     "PhotonState",
     "Polarization",
-    "SwitchSchedule",
     "outcome_distribution",
     "run_slot",
     "CommitmentParams",

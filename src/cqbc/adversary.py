@@ -412,20 +412,6 @@ def _binomial_pmf(k: int, n: int, p: float) -> float:
                     + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _slot_probabilities(bs: optics.BeamSplitter) -> list:
-    """Per-slot (D0, D1, D2) probabilities when the bits match w.p. 1/2."""
-    eq, neq = (optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1))
-    return [0.5 * eq[det] + 0.5 * neq[det]
-            for det in map(optics.Detector, DETECTORS)]
-
-
-def _honest_slot_rates(bs: optics.BeamSplitter) -> tuple[float, float]:
-    """Per-slot (confirmation, D2) rates with uniform bits on both sides:
-    Bob confirms on D1 or an inferred D2."""
-    _, d1, d2 = _slot_probabilities(bs)
-    return d1 + d2, d2
-
-
 def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     """Bob's attack graded by the trip rate of the D2 check over
     independent commit runs, when every slot clicks D2 independently with
@@ -471,7 +457,7 @@ def bob_illegal_bs(
         raise ParameterError("t_prime must lie in (0, 1)")
     bs = optics.BeamSplitter.from_transmissivity(t_prime)
     return _detection_report("bob-illegal-bs", {"t_prime": t_prime},
-                             _honest_slot_rates(bs)[1], params, rng, runs)
+                             optics.slot_law(bs)[2], params, rng, runs)
 
 
 def bob_multiphoton(
@@ -509,12 +495,14 @@ def bob_illegal_polarization(
     check_item_slots(m * n)   # the documented limit on one run
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
-    slot = _slot_probabilities(params.bs)
+    slot = optics.slot_law(params.bs)
     totals = np.zeros(len(DETECTORS), dtype=np.int64)
     for chunk in _chunks(runs, len(DETECTORS)):
         totals += rng.multinomial(m * n, slot, chunk).sum(axis=0)
     _, d1_clicks, d2_clicks = totals.tolist()
-    confirm_rate, d2_rate = _honest_slot_rates(params.bs)
+    # Bob confirms on D1 or an inferred D2.
+    _, d1, d2_rate = slot
+    confirm_rate = d1 + d2_rate
     return AttackReport(
         strategy="bob-illegal-polarization",
         params={"n": params.n, "m": params.m, "prob_v": pol.prob_v,

@@ -212,10 +212,10 @@ def cmd_params(args) -> tuple[dict, list, list]:
         args.target_binding, args.target_concealing, bs,
         max_m=args.max_m, max_n=args.max_n,
     )
-    trace = result.to_dict()["trace"]
+    trace = result.trace
     results = {
         "chosen": {"m": result.m, "n": result.n},
-        "report": security.security_report(result.m, result.n, bs).to_dict(),
+        "report": security.security_report(result.m, result.n, bs),
         "search_trace": trace,
     }
     return results, [list(row.values()) for row in trace], list(trace[0])

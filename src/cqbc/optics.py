@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -130,18 +131,6 @@ VACUUM = PhotonState(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class SwitchSchedule:
-    """Set of time bins at which the optical switch is open."""
-
-    open_bins: frozenset
-
-    @classmethod
-    def honest(cls, a_bit: int) -> "SwitchSchedule":
-        """Open the single bin matching the controller's bit (0 -> direct)."""
-        return cls(frozenset({TIME_BIN_LOOP if a_bit else TIME_BIN_DIRECT}))
-
-
-@dataclass(frozen=True)
 class DetectionOutcome:
     detector: Detector
     time_bin: int
@@ -166,17 +155,18 @@ def bs_forward(pol: Polarization, bs: BeamSplitter) -> PhotonState:
 
 def apply_switch(
     state: PhotonState,
-    schedule: SwitchSchedule,
+    open_bins: Collection[int],
     rng: np.random.Generator,
 ) -> tuple[PhotonState, Optional[DetectionOutcome]]:
-    """Gate the receiver-side bins through the switch.
+    """Gate the receiver-side bins through the switch, open at the time
+    bins in open_bins (an honest controller opens the bin of its bit).
 
     Each open bin performs a projective measurement: with probability equal
     to the squared amplitude in that bin the photon is absorbed at D2;
     otherwise the bin's amplitude is zeroed and the remainder renormalized.
     Closed bins pass untouched (mirror reflection, phase preserved).
     """
-    clicks, survivor = _switch_branches(state, schedule)
+    clicks, survivor = _switch_branches(state, open_bins)
     click = _draw_click(clicks, rng)
     if click is not None:
         return VACUUM, click
@@ -185,7 +175,7 @@ def apply_switch(
 
 def _switch_branches(
     state: PhotonState,
-    schedule: SwitchSchedule,
+    open_bins: Collection[int],
 ) -> tuple[tuple, PhotonState]:
     """The deterministic part of apply_switch.
 
@@ -200,7 +190,7 @@ def _switch_branches(
     clicks = []
     for time_bin in (TIME_BIN_DIRECT, TIME_BIN_LOOP):
         # Once a bin held (numerically) all the amplitude, none is left.
-        if time_bin not in schedule.open_bins or norm <= NORM_TOL:
+        if time_bin not in open_bins or norm <= NORM_TOL:
             continue
         p_here = abs(amps[time_bin]) ** 2 / norm
         if p_here <= 0.0:
@@ -258,7 +248,8 @@ def _slot_branches(a_bit: int, b_bit: int,
     """The switch's click branches of an honest slot, then the return
     pass's (P_D0, P_D0 + P_D1) after no click."""
     state = bs_forward(Polarization.from_bit(b_bit), bs)
-    clicks, survivor = _switch_branches(state, SwitchSchedule.honest(a_bit))
+    clicks, survivor = _switch_branches(
+        state, {TIME_BIN_LOOP if a_bit else TIME_BIN_DIRECT})
     p0, p1 = bs_return(survivor, bs)
     return clicks, p0, p0 + p1
 
@@ -295,16 +286,27 @@ def outcome_distribution(
     Mismatched bits leave the interferometer uninterrupted (D0 certain);
     matched bits give (r^2, r*t, t) over (D0, D1, D2). This is the one
     definition of the channel: the samplers, the attack tables and the
-    exact security probabilities all read it. A mirror with Fraction
-    coefficients yields exact rationals.
+    exact security probabilities all read it. Both rows take the mirror's
+    number type, so Fraction coefficients yield exact rationals.
     """
     if a_bit != b_bit:
-        return {Detector.D0: 1.0, Detector.D1: 0.0, Detector.D2: 0.0}
+        zero = 0 * bs.t
+        return {Detector.D0: 1 + zero, Detector.D1: zero, Detector.D2: zero}
     return {
         Detector.D0: bs.r * bs.r,
         Detector.D1: bs.r * bs.t,
         Detector.D2: bs.t,
     }
+
+
+def slot_law(bs: BeamSplitter) -> tuple:
+    """Per-slot (P_D0, P_D1, P_D2) when both parties' bits are uniform and
+    independent, so they match with probability 1/2: p = P_D1 + P_D2 and
+    q = P_D2 of the security analysis, and the centre of Alice's D2-rate
+    window. Exact for a mirror with Fraction coefficients."""
+    eq, neq = outcome_distribution(0, 0, bs), outcome_distribution(0, 1, bs)
+    return tuple((eq[det] + neq[det]) / 2
+                 for det in (Detector.D0, Detector.D1, Detector.D2))
 
 
 def sample_detectors(

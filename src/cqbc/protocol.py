@@ -187,10 +187,10 @@ def d2_window(params: CommitmentParams) -> tuple[float, float]:
     """The acceptance interval for per-sequence D2 counts.
 
     An honest slot clicks D2 with probability p = t/2 for the agreed
-    mirror (its bits match half the time), so the window is
-    n*p +/- sigma * sqrt(n*p*(1 - p)); the balanced mirror gives n/4.
+    mirror (optics.slot_law: its bits match half the time), so the window
+    is n*p +/- sigma * sqrt(n*p*(1 - p)); the balanced mirror gives n/4.
     """
-    p = params.bs.t / 2.0
+    p = optics.slot_law(params.bs)[2]
     center = params.n * p
     half_width = params.d2_check_sigma * np.sqrt(params.n * p * (1.0 - p))
     return center - half_width, center + half_width

@@ -22,8 +22,11 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Return an independent Generator keyed by (master_seed, *path).
 
     The path is an arbitrary tuple of non-negative integers, e.g.
-    (sequence index, slot index, photon index).
+    (sequence index, slot index, photon index). A negative master seed is
+    a ParameterError.
     """
+    if master_seed < 0:
+        raise ParameterError(f"seed {master_seed} must be >= 0")
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
 
 

@@ -48,20 +48,13 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     # t = 1 - r exactly: bs.t is 1 - r only up to rounding, and for a tiny
     # r that rounding error outweighs r^2 and tips p' = 1 - r^2 / 2 past 1.
     exact = optics.BeamSplitter(Fraction(bs.r), 1 - Fraction(bs.r))
-    # Each slot's bits match or differ with probability 1/2.
-    eq, neq = (
-        {det: Fraction(prob) for det, prob
-         in optics.outcome_distribution(0, b_bit, exact).items()}
-        for b_bit in (0, 1)
-    )
-    d0, d1, d2 = optics.Detector.D0, optics.Detector.D1, optics.Detector.D2
-    p = (eq[d1] + eq[d2] + neq[d1] + neq[d2]) / 2
-    q = (eq[d2] + neq[d2]) / 2
+    _, d1, d2 = optics.slot_law(exact)
+    p = d1 + d2
     # On a D0 click Bob bets the bits differed; that guess is right on the
     # whole mismatched D0 mass, on top of his confirmed slots.
     # So q = t/2 < p = (1 - r^2)/2 < p' = 1 - r^2/2 < 1 for any 0 < r < 1.
-    p_prime = p + neq[d0] / 2
-    return ComparisonProbs(p=p, p_prime=p_prime, q=q)
+    neq = optics.outcome_distribution(0, 1, exact)
+    return ComparisonProbs(p=p, p_prime=p + neq[optics.Detector.D0] / 2, q=d2)
 
 
 def binding_advantage(m: int, p, q):
@@ -127,19 +120,7 @@ class ParamSearchResult:
     n: int
     binding: float
     concealing: float
-    trace: list = field(default_factory=list)  # (parameter, value, advantage)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "binding_advantage": self.binding,
-            "concealing_advantage": self.concealing,
-            "trace": [
-                {"parameter": p, "value": v, "advantage": a}
-                for p, v, a in self.trace
-            ],
-        }
+    trace: list = field(default_factory=list)  # {parameter, value, advantage}
 
 
 def choose_parameters(
@@ -190,12 +171,12 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
         raise InfeasibleTargetError(
             f"{target_name} target {target} unreachable with "
             f"{parameter} <= {last}")
-    trace.append((parameter, last, top))
+    trace.append({"parameter": parameter, "value": last, "advantage": top})
     lo, hi = first - 1, last
     while hi - lo > 1:
         mid = (lo + hi) // 2
         adv = advantage(mid)
-        trace.append((parameter, mid, adv))
+        trace.append({"parameter": parameter, "value": mid, "advantage": adv})
         lo, hi = (lo, mid) if adv <= target else (mid, hi)
     return hi
 
@@ -206,14 +187,6 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
 
 Channel = Callable[[int, int], tuple[float, float, float]]
 """Per-slot outcome probabilities (P_D0, P_D1, P_D2) given (a_bit, b_bit)."""
-
-
-def default_channel(bs: optics.BeamSplitter) -> Channel:
-    def channel(a_bit: int, b_bit: int) -> tuple[float, float, float]:
-        dist = optics.outcome_distribution(a_bit, b_bit, bs)
-        return (dist[optics.Detector.D0], dist[optics.Detector.D1],
-                dist[optics.Detector.D2])
-    return channel
 
 
 def perfect_channel(a_bit: int, b_bit: int) -> tuple[float, float, float]:
@@ -251,7 +224,12 @@ def concealing_oracle_bruteforce(
     if not 2 <= n <= 4:
         raise ParameterError("brute-force oracle supports 2 <= n <= 4 only")
     if channel is None:
-        channel = default_channel(bs or optics.BeamSplitter.balanced())
+        bs = bs or optics.BeamSplitter.balanced()
+
+        def channel(a_bit: int, b_bit: int) -> tuple[float, float, float]:
+            dist = optics.outcome_distribution(a_bit, b_bit, bs)
+            return (dist[optics.Detector.D0], dist[optics.Detector.D1],
+                    dist[optics.Detector.D2])
     d0 = _view_distribution(n, 0, channel)
     d1 = _view_distribution(n, 1, channel)
     keys = set(d0) | set(d1)
@@ -291,51 +269,26 @@ def concealing_tv_monte_carlo(
 # Aggregate report
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SecurityReport:
-    """Analytic security summary for one (m, n, beam splitter) choice."""
-
-    m: int
-    n: int
-    r: float
-    t: float
-    p: float
-    p_prime: float
-    q: float
-    binding: float
-    concealing: ConcealingReport
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "t": self.t,
-            "p": self.p,
-            "p_prime": self.p_prime,
-            "q": self.q,
-            "binding_advantage": self.binding,
-            "concealing": {
-                "epsilon": self.concealing.epsilon,
-                "advantage": self.concealing.advantage,
-                "first_order": self.concealing.first_order,
-                "note": self.concealing.factor_two_note,
-            },
-        }
-
-
 def security_report(m: int, n: int,
-                    bs: Optional[optics.BeamSplitter] = None) -> SecurityReport:
+                    bs: Optional[optics.BeamSplitter] = None) -> dict:
+    """Analytic security summary for one (m, n, beam splitter) choice, as
+    the plain values a report holds."""
     bs = bs or optics.BeamSplitter.balanced()
     probs = comparison_probs(bs)
-    return SecurityReport(
-        m=m,
-        n=n,
-        r=bs.r,
-        t=bs.t,
-        p=float(probs.p),
-        p_prime=float(probs.p_prime),
-        q=float(probs.q),
-        binding=float(binding_advantage(m, probs.p, probs.q)),
-        concealing=concealing_advantage(m, n, probs.p_prime),
-    )
+    concealing = concealing_advantage(m, n, probs.p_prime)
+    return {
+        "m": m,
+        "n": n,
+        "r": bs.r,
+        "t": bs.t,
+        "p": float(probs.p),
+        "p_prime": float(probs.p_prime),
+        "q": float(probs.q),
+        "binding_advantage": float(binding_advantage(m, probs.p, probs.q)),
+        "concealing": {
+            "epsilon": concealing.epsilon,
+            "advantage": concealing.advantage,
+            "first_order": concealing.first_order,
+            "note": concealing.factor_two_note,
+        },
+    }

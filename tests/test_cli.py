@@ -492,6 +492,22 @@ def test_oversized_commit_is_refused_before_allocating(capsys):
     assert err.startswith("error:") and "limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("commit", "--seed", "-1"),
+    ("table1", "--trials", "1000", "--seed", "-1"),
+    ("attack", "--strategy", "bob-bs", "--runs", "10", "--seed", "-1"),
+    ("--config", "{cfg}", "commit"),
+])
+def test_negative_seed_is_usage_error(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    code, out, err = run(capsys, *(str(cfg) if arg == "{cfg}" else arg
+                                   for arg in argv))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == "error: seed -1 must be >= 0\n"
+
+
 def test_config_file_missing_is_io_error(capsys):
     code, _, _ = run(capsys, "--config", "/nonexistent/cfg.json", "commit")
     assert code == cli.EXIT_IO
@@ -570,24 +586,24 @@ _SIZE = dict(m=st.integers(-1, 4), n=st.integers(-1, 40))
 
 _ARGVS = st.one_of(
     _options(r=_reals(-0.5, 1.5), trials=st.integers(1000, 1500),
-             seed=st.integers(0, 50), format=_FORMAT).map(
+             seed=st.integers(-2, 50), format=_FORMAT).map(
         lambda opts: ["table1"] + opts),
     st.tuples(
-        _options(r=_reals(-0.5, 1.5), seed=st.integers(0, 50),
+        _options(r=_reals(-0.5, 1.5), seed=st.integers(-2, 50),
                  format=_FORMAT, **_SIZE),
         st.lists(st.sampled_from(["--bit=0", "--bit=1", "--open-bit=0",
                                   "--open-bit=1"]), max_size=2),
     ).map(lambda parts: ["commit"] + parts[0] + parts[1]),
     _options(strategy=st.sampled_from(sorted(cli._ATTACKS)),
              r=_reals(-0.5, 1.5), trials=st.integers(-1, 30),
-             seed=st.integers(0, 50), n0=st.integers(-1, 41),
+             seed=st.integers(-2, 50), n0=st.integers(-1, 41),
              k=st.integers(-1, 5), t_prime=_reals(-0.5, 1.5),
              runs=st.integers(-1, 4), format=_FORMAT, **_SIZE).map(
         lambda opts: ["attack"] + opts),
     _options(r=_reals(-0.5, 1.5), target_binding=_reals(-0.5, 1.5),
              target_concealing=_reals(-0.5, 1.5),
              max_m=st.integers(-1, 200), max_n=st.integers(-1, 400),
-             seed=st.integers(0, 50), format=_FORMAT).map(
+             seed=st.integers(-2, 50), format=_FORMAT).map(
         lambda opts: ["params"] + opts),
 )
 

@@ -3,6 +3,7 @@ between the sampled path and the closed-form distribution."""
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ def test_apply_switch_matching_bin_collapses_or_clicks():
     clicks = 0
     for _ in range(trials):
         state = optics.bs_forward(optics.H, BALANCED)
-        state, click = optics.apply_switch(state, optics.SwitchSchedule.honest(0), rng)
+        state, click = optics.apply_switch(state, {optics.TIME_BIN_DIRECT}, rng)
         if click is not None:
             assert click.detector is optics.Detector.D2
             assert click.time_bin == optics.TIME_BIN_DIRECT
@@ -116,7 +117,7 @@ def test_apply_switch_matching_bin_collapses_or_clicks():
 def test_apply_switch_mismatched_bin_is_transparent():
     rng = substream(11, 0)
     state = optics.bs_forward(optics.H, BALANCED)
-    out, click = optics.apply_switch(state, optics.SwitchSchedule.honest(1), rng)
+    out, click = optics.apply_switch(state, {optics.TIME_BIN_LOOP}, rng)
     assert click is None
     assert out == state
 
@@ -124,8 +125,7 @@ def test_apply_switch_mismatched_bin_is_transparent():
 def test_apply_switch_both_bins_covers_full_receiver_amplitude():
     rng = substream(12, 0)
     trials = 20000
-    both = optics.SwitchSchedule(
-        frozenset({optics.TIME_BIN_DIRECT, optics.TIME_BIN_LOOP}))
+    both = {optics.TIME_BIN_DIRECT, optics.TIME_BIN_LOOP}
     for pol in (optics.H, optics.V):
         clicks = 0
         for _ in range(trials):
@@ -139,7 +139,7 @@ def test_apply_switch_requires_normalized_state():
     rng = substream(13, 0)
     bad = optics.PhotonState(1.0, 1.0, 0.0)
     with pytest.raises(ContractViolationError):
-        optics.apply_switch(bad, optics.SwitchSchedule(frozenset()), rng)
+        optics.apply_switch(bad, set(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +203,30 @@ def test_outcome_distribution_sums_to_one(r, eq):
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(3, 10),
+                               Fraction(1, 10 ** 20)])
+def test_fraction_mirror_gives_exact_channel(r):
+    bs = optics.BeamSplitter(r, 1 - r)
+    for b_bit in (0, 1):
+        dist = optics.outcome_distribution(0, b_bit, bs)
+        assert all(type(prob) is Fraction for prob in dist.values())
+    assert optics.slot_law(bs) == ((1 + r * r) / 2, r * (1 - r) / 2,
+                                   (1 - r) / 2)
+
+
+@given(r=st.floats(0.0, 1.0))
+def test_slot_law_is_the_float_mix_of_the_two_rows(r):
+    # Bob's attack reports and the D2 window read these values, so they
+    # must equal the 0.5 * eq + 0.5 * neq mix bit for bit.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    eq, neq = (optics.outcome_distribution(0, b_bit, bs) for b_bit in (0, 1))
+    assert optics.slot_law(bs) == tuple(
+        0.5 * eq[det] + 0.5 * neq[det]
+        for det in (optics.Detector.D0, optics.Detector.D1,
+                    optics.Detector.D2))
+    assert optics.slot_law(bs)[2] == bs.t / 2
+
+
 def test_run_slot_mismatch_is_deterministic_d0():
     rng = substream(14, 0)
     for r in (0.5, 0.3, 0.9):
@@ -237,7 +261,8 @@ def _run_slot_uncached(a_bit, b_bit, bs, rng):
     on every call."""
     state = optics.bs_forward(optics.Polarization.from_bit(b_bit), bs)
     state, click = optics.apply_switch(
-        state, optics.SwitchSchedule.honest(a_bit), rng)
+        state, {optics.TIME_BIN_LOOP if a_bit else optics.TIME_BIN_DIRECT},
+        rng)
     if click is not None:
         return click
     p0, p1 = optics.bs_return(state, bs)

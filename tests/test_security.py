@@ -146,10 +146,10 @@ def test_choose_parameters_reference_targets():
 
 def test_choose_parameters_trace_records_scan():
     res = security.choose_parameters(0.5, 0.5)
-    assert res.trace[0][0] == "m"
-    assert any(row[0] == "n" for row in res.trace)
-    d = res.to_dict()
-    assert d["m"] == res.m and len(d["trace"]) == len(res.trace)
+    assert res.trace[0]["parameter"] == "m"
+    assert any(row["parameter"] == "n" for row in res.trace)
+    assert all(set(row) == {"parameter", "value", "advantage"}
+               for row in res.trace)
 
 
 def _scan_parameters(target_binding, target_concealing, bs, max_m, max_n):
@@ -268,8 +268,11 @@ def test_oracle_properties_over_mirrors(r):
 # ---------------------------------------------------------------------------
 
 def test_security_report_contents():
-    report = security.security_report(70, 130)
-    d = report.to_dict()
+    d = security.security_report(70, 130)
+    assert set(d) == {"m", "n", "r", "t", "p", "p_prime", "q",
+                      "binding_advantage", "concealing"}
+    assert set(d["concealing"]) == {"epsilon", "advantage", "first_order",
+                                    "note"}
     assert d["p"] == pytest.approx(0.375)
     assert d["p_prime"] == pytest.approx(0.875)
     assert d["q"] == pytest.approx(0.25)
