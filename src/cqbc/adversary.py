@@ -22,6 +22,7 @@ a polarization attack only a run's click totals, one multinomial draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -244,9 +245,10 @@ def _alter_model_probability(n, n0, tables, flip):
     return min(1.0, success / p_candidate)   # no rounding past 1
 
 
+@functools.cache
 def _clenshaw_curtis() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 129-point Clenshaw-Curtis rule on [0, 1],
-    exact for polynomials of degree up to 129.
+    exact for polynomials of degree up to 129; built once, read-only.
 
     Built from cosine sums rather than an eigensolver: a first LAPACK call
     maps OpenBLAS buffers, about 1.8 MB of resident memory.
@@ -258,7 +260,9 @@ def _clenshaw_curtis() -> tuple[np.ndarray, np.ndarray]:
     weights = (1.0 - 2.0 * terms.sum(axis=1)
                - np.cos(order * theta) / (order * order - 1.0)) / order
     weights[[0, -1]] = 0.5 / (order * order - 1.0)
-    return 0.5 * (1.0 + np.cos(theta)), weights
+    nodes = 0.5 * (1.0 + np.cos(theta))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def intercept_alter_probability(n: int, n0: int) -> float:
@@ -378,17 +382,22 @@ def d2_detection_probability(
     """
     if not 0.0 <= p_slot <= 1.0:
         raise ParameterError("p_slot must lie in [0, 1]")
-    lo, hi = protocol.d2_window(params)
-    n = params.n
-    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
-    if lo <= n * p_slot <= hi:
-        fail = (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)
-                + _tail_mass(range(window.stop, n + 1), n, p_slot))
-    else:
-        fail = 1.0 - math.fsum(_binomial_pmf(k, n, p_slot) for k in window)
+    fail = _sequence_fail(p_slot, params.n, *protocol.d2_window(params))
     if fail >= 1.0:
         return 1.0
     return -math.expm1(params.m * math.log1p(-fail))
+
+
+@functools.lru_cache(maxsize=256)
+def _sequence_fail(p_slot: float, n: int, lo: float, hi: float) -> float:
+    """Binomial(n, p_slot) mass outside [lo, hi]: one sequence's chance to
+    trip the check. Cached, as the attacks grade many runs of few mirrors
+    and windows."""
+    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
+    if lo <= n * p_slot <= hi:
+        return (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)
+                + _tail_mass(range(window.stop, n + 1), n, p_slot))
+    return 1.0 - math.fsum(_binomial_pmf(k, n, p_slot) for k in window)
 
 
 def _tail_mass(ks: range, n: int, p: float) -> float:

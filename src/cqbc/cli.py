@@ -307,7 +307,12 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         for p in [parser] + subparsers:
             dests = {action.dest for action in p._actions}
             p.set_defaults(**{k: v for k, v in config.items() if k in dests})
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    # Refused here, so that a command that draws nothing (params) does not
+    # echo a seed that could seed nothing.
+    if args.seed < 0:
+        raise ParameterError(f"seed {args.seed} must be >= 0")
+    return args
 
 
 # The JSON values an option of each argparse type accepts.

@@ -8,6 +8,10 @@ a time bin, performs a projective "photon here?" measurement feeding
 detector D2. Whatever survives returns to the beam splitter and recombines
 into detectors D0/D1.
 
+Slots are sampled from these amplitudes: `run_slot` reads each mirror's
+per-bit-pair outcome table, built once from the amplitude steps, and draws
+one uniform per slot, none where the outcome is certain.
+
 Conventions (pinned, see module tests):
   * beam splitter: transmit sqrt(t), reflect i*sqrt(r);
   * the round trip adds a pi phase to the sender-side arm, so an
@@ -21,7 +25,9 @@ Conventions (pinned, see module tests):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +52,10 @@ class Detector(Enum):
     D2 = "D2"
     NONE = "NONE"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it runs in C, where Enum's hashes the name.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class BeamSplitter:
@@ -68,6 +78,14 @@ class BeamSplitter:
     @classmethod
     def from_transmissivity(cls, t: float) -> "BeamSplitter":
         return cls(1.0 - t, t)
+
+    @functools.cached_property
+    def _slot_tables(self) -> tuple:
+        """The honest slot's outcome table of each bit pair, indexed
+        [a_bit][b_bit]; see _slot_table. Built on first use and kept on the
+        mirror, so run_slot neither recomputes nor hashes anything."""
+        return tuple(tuple(_slot_table(a_bit, b_bit, self) for b_bit in (0, 1))
+                     for a_bit in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -242,16 +260,35 @@ _RETURN_D0 = DetectionOutcome(Detector.D0, TIME_BIN_RETURN)
 _RETURN_D1 = DetectionOutcome(Detector.D1, TIME_BIN_RETURN)
 
 
-@functools.lru_cache(maxsize=256)
-def _slot_branches(a_bit: int, b_bit: int,
-                   bs: BeamSplitter) -> tuple[tuple, float, float]:
-    """The switch's click branches of an honest slot, then the return
-    pass's (P_D0, P_D0 + P_D1) after no click."""
+def _slot_table(a_bit: int, b_bit: int,
+                bs: BeamSplitter) -> tuple[tuple, tuple]:
+    """The outcomes of an honest slot with nonzero mass, and the cuts
+    between them on [0, 1).
+
+    The masses come from the amplitude steps: the switch's click branches
+    in order, then, after no click, the return pass's (P_D0, P_D1)
+    renormalized by their sum, which rounding moves off 1 when little
+    amplitude survives the switch (8e-8 at r = 1e-9). The cuts are the
+    cumulative masses before each outcome but the first.
+    """
     state = bs_forward(Polarization.from_bit(b_bit), bs)
     clicks, survivor = _switch_branches(
         state, {TIME_BIN_LOOP if a_bit else TIME_BIN_DIRECT})
-    p0, p1 = bs_return(survivor, bs)
-    return clicks, p0, p0 + p1
+    branches = []
+    no_click = 1.0
+    for p_here, click in clicks:
+        branches.append((no_click * p_here, click))
+        no_click *= 1.0 - p_here
+    p_d0, p_d1 = bs_return(survivor, bs)
+    p_total = p_d0 + p_d1
+    if p_total > 0.0:
+        branches += [(no_click * p_d0 / p_total, _RETURN_D0),
+                     (no_click * p_d1 / p_total, _RETURN_D1)]
+    else:
+        branches.append((no_click, _NO_CLICK))
+    branches = [(p, outcome) for p, outcome in branches if p > 0.0]
+    cuts = itertools.accumulate(p for p, _ in branches[:-1])
+    return tuple(outcome for _, outcome in branches), tuple(cuts)
 
 
 def run_slot(
@@ -262,18 +299,15 @@ def run_slot(
 ) -> DetectionOutcome:
     """One honest slot: forward pass, switch gating, return pass, sampling.
 
-    The amplitudes depend on (a_bit, b_bit, bs) alone and are computed once
-    per combination; each call draws from them in the order of the steps.
+    The outcome law depends on (a_bit, b_bit, bs) alone; the mirror builds
+    it once from the amplitude steps (BeamSplitter._slot_tables). A slot
+    whose outcome is certain (mismatched bits, or a mirror with r or t
+    zero) draws nothing; any other draws one uniform against the cuts.
     """
-    clicks, p_d0, p_total = _slot_branches(a_bit, b_bit, bs)
-    click = _draw_click(clicks, rng)
-    if click is not None:
-        return click
-    if p_total <= 0.0:
-        return _NO_CLICK
-    if rng.random() * p_total < p_d0:
-        return _RETURN_D0
-    return _RETURN_D1
+    outcomes, cuts = bs._slot_tables[a_bit][b_bit]
+    if not cuts:
+        return outcomes[0]
+    return outcomes[bisect_right(cuts, rng.random())]
 
 
 def outcome_distribution(

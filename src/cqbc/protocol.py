@@ -204,9 +204,9 @@ def run_commit_phase(
 
     Whole sequences are sampled at once from the closed-form per-slot
     detector distribution; the amplitude-level `optics.run_slot` has the
-    same marginal (asserted by the Monte Carlo agreement tests) but is too
-    slow for the large batch runs. More than MAX_ITEM_SLOTS slots are a
-    ParameterError.
+    same marginal (asserted by the Monte Carlo agreement tests) but costs
+    one Python call and up to one uniform per slot, too slow for the large
+    batch runs. More than MAX_ITEM_SLOTS slots are a ParameterError.
     """
     check_item_slots(params.m * params.n)
     bits_rng = substream(params.master_seed, _STREAM_BITS)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqbc import adversary, optics, protocol
 from cqbc import rng as rng_module
@@ -366,10 +368,53 @@ def test_d2_detection_probability_sums_only_near_the_window(monkeypatch,
         return pmf(*args)
 
     monkeypatch.setattr(adversary, "_binomial_pmf", counted)
+    adversary._sequence_fail.cache_clear()   # sum afresh, not from the cache
     detect = adversary.d2_detection_probability(
         p_slot, protocol.CommitmentParams(m=1, n=n))
     assert 0.0 < detect <= 1.0
     assert len(calls) < 10 * math.sqrt(n)
+
+
+def _d2_detection_uncached(p_slot, params):
+    """d2_detection_probability as it was before the per-sequence mass was
+    cached: the window and both tails on every call."""
+    lo, hi = protocol.d2_window(params)
+    n = params.n
+    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
+    if lo <= n * p_slot <= hi:
+        fail = (adversary._tail_mass(range(window.start - 1, -1, -1), n,
+                                     p_slot)
+                + adversary._tail_mass(range(window.stop, n + 1), n, p_slot))
+    else:
+        fail = 1.0 - math.fsum(adversary._binomial_pmf(k, n, p_slot)
+                               for k in window)
+    if fail >= 1.0:
+        return 1.0
+    return -math.expm1(params.m * math.log1p(-fail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p_slot=st.floats(0.0, 1.0), m=st.integers(1, 200),
+       n=st.integers(2, 3000), sigma=st.floats(0.01, 10.0),
+       r=st.floats(0.0, 1.0))
+def test_d2_detection_probability_cache_is_bit_identical(p_slot, m, n, sigma,
+                                                         r):
+    p = protocol.CommitmentParams(m=m, n=n,
+                                  bs=optics.BeamSplitter(r, 1.0 - r),
+                                  d2_check_sigma=sigma)
+    expected = _d2_detection_uncached(p_slot, p)
+    # Once filling the cache, once reading it.
+    assert adversary.d2_detection_probability(p_slot, p) == expected
+    assert adversary.d2_detection_probability(p_slot, p) == expected
+
+
+def test_d2_detection_probability_cache_is_bounded():
+    maxsize = adversary._sequence_fail.cache_info().maxsize
+    assert maxsize is not None
+    p = params(m=70, n=130)
+    for i in range(maxsize + 50):
+        adversary.d2_detection_probability(i / (maxsize + 50), p)
+    assert adversary._sequence_fail.cache_info().currsize <= maxsize
 
 
 def test_bob_illegal_bs_detected():

@@ -497,6 +497,11 @@ def test_oversized_commit_is_refused_before_allocating(capsys):
     ("table1", "--trials", "1000", "--seed", "-1"),
     ("attack", "--strategy", "bob-bs", "--runs", "10", "--seed", "-1"),
     ("--config", "{cfg}", "commit"),
+    # params draws nothing, yet a negative seed is refused there too
+    ("params", "--target-binding", "3e-6", "--target-concealing", "1.1e-6",
+     "--seed", "-1"),
+    ("--config", "{cfg}", "params", "--target-binding", "3e-6",
+     "--target-concealing", "1.1e-6"),
 ])
 def test_negative_seed_is_usage_error(capsys, tmp_path, argv):
     cfg = tmp_path / "cfg.json"

@@ -257,23 +257,37 @@ def test_run_slot_matches_closed_form(r):
 
 
 def _run_slot_uncached(a_bit, b_bit, bs, rng):
-    """run_slot as it was before its amplitudes were memoized: every step
-    on every call."""
+    """run_slot without the mirror's table: every amplitude step on every
+    call, then one uniform against the cumulative branch law (the switch's
+    click branches, then D0/D1 after no click), none when one outcome holds
+    all the mass."""
     state = optics.bs_forward(optics.Polarization.from_bit(b_bit), bs)
-    state, click = optics.apply_switch(
-        state, {optics.TIME_BIN_LOOP if a_bit else optics.TIME_BIN_DIRECT},
-        rng)
-    if click is not None:
-        return click
-    p0, p1 = optics.bs_return(state, bs)
-    total = p0 + p1
-    if total <= 0.0:
-        return optics.DetectionOutcome(optics.Detector.NONE,
-                                       optics.TIME_BIN_NONE)
-    if rng.random() * total < p0:
-        return optics.DetectionOutcome(optics.Detector.D0,
-                                       optics.TIME_BIN_RETURN)
-    return optics.DetectionOutcome(optics.Detector.D1, optics.TIME_BIN_RETURN)
+    clicks, survivor = optics._switch_branches(
+        state, {optics.TIME_BIN_LOOP if a_bit else optics.TIME_BIN_DIRECT})
+    law = []
+    no_click = 1.0
+    for p_here, click in clicks:
+        law.append((no_click * p_here, click))
+        no_click *= 1.0 - p_here
+    p0, p1 = optics.bs_return(survivor, bs)
+    if p0 + p1 > 0.0:
+        law.append((no_click * p0 / (p0 + p1), optics.DetectionOutcome(
+            optics.Detector.D0, optics.TIME_BIN_RETURN)))
+        law.append((no_click * p1 / (p0 + p1), optics.DetectionOutcome(
+            optics.Detector.D1, optics.TIME_BIN_RETURN)))
+    else:
+        law.append((no_click, optics.DetectionOutcome(
+            optics.Detector.NONE, optics.TIME_BIN_NONE)))
+    law = [(p, outcome) for p, outcome in law if p > 0.0]
+    if len(law) == 1:
+        return law[0][1]
+    u = rng.random()
+    below = 0.0
+    for p, outcome in law[:-1]:
+        below += p
+        if u < below:
+            return outcome
+    return law[-1][1]
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
@@ -287,6 +301,23 @@ def test_run_slot_equals_uncached_path(r, a_bit, b_bit):
                 for _ in range(trials)])
     # Both made the same draws.
     assert cached.random() == uncached.random()
+
+
+@pytest.mark.parametrize("r,a_bit,b_bit,draws", [
+    *[(r, a_bit, 1 - a_bit, 0) for r in (0.3, 0.5, 0.9) for a_bit in (0, 1)],
+    *[(r, a_bit, a_bit, 0) for r in (0.0, 1.0) for a_bit in (0, 1)],
+    *[(r, a_bit, a_bit, 1) for r in (1e-9, 0.3, 0.5, 0.9)
+      for a_bit in (0, 1)],
+])
+def test_run_slot_draws_only_when_the_outcome_is_uncertain(r, a_bit, b_bit,
+                                                           draws):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    rng = substream(24, a_bit, b_bit)
+    expected = substream(24, a_bit, b_bit)
+    for _ in range(50):
+        expected.random(draws)
+        optics.run_slot(a_bit, b_bit, bs, rng)
+        assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def _sample_detectors_masked(eq, bs, rng):
