@@ -8,9 +8,11 @@ a time bin, performs a projective "photon here?" measurement feeding
 detector D2. Whatever survives returns to the beam splitter and recombines
 into detectors D0/D1.
 
-Slots are sampled from these amplitudes: `run_slot` reads each mirror's
-per-bit-pair outcome table, built once from the amplitude steps, and draws
-one uniform per slot, none where the outcome is certain.
+The amplitudes are never renormalized: a measurement branch's squared
+amplitude is its absolute probability, so each slot's law is read straight
+off them. `run_slot` reads each mirror's per-bit-pair outcome table, built
+once from the amplitude steps, and draws one uniform per slot, none where
+the outcome is certain.
 
 Conventions (pinned, see module tests):
   * beam splitter: transmit sqrt(t), reflect i*sqrt(r);
@@ -31,7 +33,6 @@ from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -43,14 +44,12 @@ NORM_TOL = 1e-12
 TIME_BIN_DIRECT = 0   # direct path through the PBS to the switch
 TIME_BIN_LOOP = 1     # through the optical loop to the switch
 TIME_BIN_RETURN = 2   # round trip back to the sender's detectors
-TIME_BIN_NONE = -1
 
 
 class Detector(Enum):
     D0 = "D0"
     D1 = "D1"
     D2 = "D2"
-    NONE = "NONE"
 
     # Members are singletons compared by identity, so the identity hash is
     # consistent with equality; it runs in C, where Enum's hashes the name.
@@ -117,13 +116,14 @@ PLUS = Polarization(1 / math.sqrt(2), 1 / math.sqrt(2))
 
 @dataclass(frozen=True)
 class PhotonState:
-    """Photon amplitudes over the interferometer modes.
+    """Unnormalized photon amplitudes over the interferometer modes.
 
     amp_a        -- sender-side arm (toward the sender's Faraday mirror)
     amp_b_direct -- receiver-side arm, direct time bin (bin 0)
     amp_b_loop   -- receiver-side arm, optical-loop time bin (bin 1)
 
-    All three zero means the photon has been absorbed (vacuum).
+    The squared norm is the probability that the photon is still in
+    flight: 1 after bs_forward, less once the switch has measured it.
     """
 
     amp_a: complex
@@ -134,18 +134,6 @@ class PhotonState:
     def norm_sq(self) -> float:
         return (abs(self.amp_a) ** 2 + abs(self.amp_b_direct) ** 2
                 + abs(self.amp_b_loop) ** 2)
-
-    @property
-    def is_vacuum(self) -> bool:
-        return self.norm_sq < NORM_TOL
-
-    def check_normalized(self) -> None:
-        norm = self.norm_sq
-        if abs(norm - 1.0) > NORM_TOL and norm > NORM_TOL:
-            raise ContractViolationError(f"photon state norm {norm} != 1")
-
-
-VACUUM = PhotonState(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -174,78 +162,36 @@ def bs_forward(pol: Polarization, bs: BeamSplitter) -> PhotonState:
 def apply_switch(
     state: PhotonState,
     open_bins: Collection[int],
-    rng: np.random.Generator,
-) -> tuple[PhotonState, Optional[DetectionOutcome]]:
+) -> tuple[tuple, PhotonState]:
     """Gate the receiver-side bins through the switch, open at the time
     bins in open_bins (an honest controller opens the bin of its bit).
 
-    Each open bin performs a projective measurement: with probability equal
-    to the squared amplitude in that bin the photon is absorbed at D2;
-    otherwise the bin's amplitude is zeroed and the remainder renormalized.
-    Closed bins pass untouched (mirror reflection, phase preserved).
+    Each open bin performs a projective measurement feeding D2. Returns one
+    (probability, D2 outcome) pair per open bin that holds amplitude, in
+    bin order, each probability the bin's squared amplitude, and the
+    survivor: the state with those bins zeroed and not renormalized, whose
+    norm_sq is the probability that no bin clicked. Closed bins pass
+    untouched (mirror reflection, phase preserved).
     """
-    clicks, survivor = _switch_branches(state, open_bins)
-    click = _draw_click(clicks, rng)
-    if click is not None:
-        return VACUUM, click
-    return survivor, None
-
-
-def _switch_branches(
-    state: PhotonState,
-    open_bins: Collection[int],
-) -> tuple[tuple, PhotonState]:
-    """The deterministic part of apply_switch.
-
-    Returns one (probability, D2 outcome) pair per open bin that holds
-    amplitude, in bin order, each probability conditioned on no earlier
-    click, and the renormalized state that survives every measurement
-    (VACUUM when the measurements covered all of it).
-    """
-    state.check_normalized()
     amps = [state.amp_b_direct, state.amp_b_loop]
-    norm = 1.0
     clicks = []
     for time_bin in (TIME_BIN_DIRECT, TIME_BIN_LOOP):
-        # Once a bin held (numerically) all the amplitude, none is left.
-        if time_bin not in open_bins or norm <= NORM_TOL:
-            continue
-        p_here = abs(amps[time_bin]) ** 2 / norm
-        if p_here <= 0.0:
-            continue
-        clicks.append((p_here, DetectionOutcome(Detector.D2, time_bin)))
-        amps[time_bin] = 0.0
-        norm *= 1.0 - p_here
-    if norm <= NORM_TOL:
-        # Measurement covered (numerically) all remaining amplitude.
-        return tuple(clicks), VACUUM
-    scale = 1.0 / math.sqrt(norm)
-    return tuple(clicks), PhotonState(
-        state.amp_a * scale, amps[0] * scale, amps[1] * scale
-    )
-
-
-def _draw_click(
-    clicks: tuple,
-    rng: np.random.Generator,
-) -> Optional[DetectionOutcome]:
-    """One uniform per measurement, in order, until one clicks."""
-    for p_here, click in clicks:
-        if rng.random() < p_here:
-            return click
-    return None
+        p_here = abs(amps[time_bin]) ** 2
+        if time_bin in open_bins and p_here > 0.0:
+            clicks.append((p_here, DetectionOutcome(Detector.D2, time_bin)))
+            amps[time_bin] = 0.0
+    return tuple(clicks), PhotonState(state.amp_a, *amps)
 
 
 def bs_return(state: PhotonState, bs: BeamSplitter) -> tuple[float, float]:
-    """Second beam-splitter pass; returns (P_D0, P_D1).
+    """Second beam-splitter pass; returns the absolute (P_D0, P_D1), which
+    sum to the state's norm_sq.
 
     The sender-side arm picks up the round-trip pi phase before
     recombining, which makes the uninterrupted interferometer output
     deterministic at D0. Surviving receiver-side amplitudes are summed;
     in every supported scenario at most one time bin is occupied here.
     """
-    if state.is_vacuum:
-        return 0.0, 0.0
     st = math.sqrt(bs.t)
     sr = math.sqrt(bs.r)
     amp_a = -state.amp_a
@@ -255,7 +201,6 @@ def bs_return(state: PhotonState, bs: BeamSplitter) -> tuple[float, float]:
     return abs(amp_d0) ** 2, abs(amp_d1) ** 2
 
 
-_NO_CLICK = DetectionOutcome(Detector.NONE, TIME_BIN_NONE)
 _RETURN_D0 = DetectionOutcome(Detector.D0, TIME_BIN_RETURN)
 _RETURN_D1 = DetectionOutcome(Detector.D1, TIME_BIN_RETURN)
 
@@ -265,27 +210,16 @@ def _slot_table(a_bit: int, b_bit: int,
     """The outcomes of an honest slot with nonzero mass, and the cuts
     between them on [0, 1).
 
-    The masses come from the amplitude steps: the switch's click branches
-    in order, then, after no click, the return pass's (P_D0, P_D1)
-    renormalized by their sum, which rounding moves off 1 when little
-    amplitude survives the switch (8e-8 at r = 1e-9). The cuts are the
-    cumulative masses before each outcome but the first.
+    The masses are absolute probabilities from the amplitude steps: the
+    switch's clicks, then the return pass's (P_D0, P_D1) of the state that
+    survives them. The cuts are the cumulative masses before each outcome
+    but the first.
     """
     state = bs_forward(Polarization.from_bit(b_bit), bs)
-    clicks, survivor = _switch_branches(
+    clicks, survivor = apply_switch(
         state, {TIME_BIN_LOOP if a_bit else TIME_BIN_DIRECT})
-    branches = []
-    no_click = 1.0
-    for p_here, click in clicks:
-        branches.append((no_click * p_here, click))
-        no_click *= 1.0 - p_here
     p_d0, p_d1 = bs_return(survivor, bs)
-    p_total = p_d0 + p_d1
-    if p_total > 0.0:
-        branches += [(no_click * p_d0 / p_total, _RETURN_D0),
-                     (no_click * p_d1 / p_total, _RETURN_D1)]
-    else:
-        branches.append((no_click, _NO_CLICK))
+    branches = [*clicks, (p_d0, _RETURN_D0), (p_d1, _RETURN_D1)]
     branches = [(p, outcome) for p, outcome in branches if p > 0.0]
     cuts = itertools.accumulate(p for p, _ in branches[:-1])
     return tuple(outcome for _, outcome in branches), tuple(cuts)

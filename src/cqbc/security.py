@@ -252,7 +252,7 @@ def concealing_tv_monte_carlo(
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
             bits = protocol.alice_generate(b_commit, chunk, n, rng).bits
-            b_bits = rng.integers(0, 2, size=(chunk, n), dtype=np.uint8)
+            b_bits = protocol.bob_generate(chunk, n, rng).bits
             det = optics.sample_detectors(bits == b_bits, bs, rng)
             slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
             # The view's index: its slot codes as base-6 digits.

@@ -96,50 +96,35 @@ def test_bs_forward_is_linear_in_polarization(theta, phi, r):
 # ---------------------------------------------------------------------------
 
 def test_apply_switch_matching_bin_collapses_or_clicks():
-    rng = substream(10, 0)
-    trials = 20000
-    clicks = 0
-    for _ in range(trials):
-        state = optics.bs_forward(optics.H, BALANCED)
-        state, click = optics.apply_switch(state, {optics.TIME_BIN_DIRECT}, rng)
-        if click is not None:
-            assert click.detector is optics.Detector.D2
-            assert click.time_bin == optics.TIME_BIN_DIRECT
-            clicks += 1
-        else:
-            # no click: photon collapsed onto the sender arm
-            assert state.amp_b_direct == 0
-            assert state.amp_b_loop == 0
-            assert state.norm_sq == pytest.approx(1.0, abs=1e-9)
-    assert abs(clicks / trials - 0.5) < mc_tolerance(0.5, trials)
+    for r in (0.5, 0.3):
+        bs = optics.BeamSplitter(r, 1.0 - r)
+        state = optics.bs_forward(optics.H, bs)
+        clicks, survivor = optics.apply_switch(state, {optics.TIME_BIN_DIRECT})
+        assert clicks == ((pytest.approx(bs.t, abs=1e-15),
+                           optics.DetectionOutcome(optics.Detector.D2,
+                                                   optics.TIME_BIN_DIRECT)),)
+        # No click: the photon collapsed onto the sender arm, unnormalized.
+        assert survivor.amp_b_direct == 0
+        assert survivor.amp_b_loop == 0
+        assert survivor.amp_a == state.amp_a
+        assert survivor.norm_sq == pytest.approx(bs.r, abs=1e-15)
 
 
 def test_apply_switch_mismatched_bin_is_transparent():
-    rng = substream(11, 0)
     state = optics.bs_forward(optics.H, BALANCED)
-    out, click = optics.apply_switch(state, {optics.TIME_BIN_LOOP}, rng)
-    assert click is None
-    assert out == state
+    clicks, survivor = optics.apply_switch(state, {optics.TIME_BIN_LOOP})
+    assert clicks == ()
+    assert survivor == state
 
 
 def test_apply_switch_both_bins_covers_full_receiver_amplitude():
-    rng = substream(12, 0)
-    trials = 20000
     both = {optics.TIME_BIN_DIRECT, optics.TIME_BIN_LOOP}
-    for pol in (optics.H, optics.V):
-        clicks = 0
-        for _ in range(trials):
-            state = optics.bs_forward(pol, BALANCED)
-            _, click = optics.apply_switch(state, both, rng)
-            clicks += click is not None
-        assert abs(clicks / trials - BALANCED.t) < mc_tolerance(BALANCED.t, trials)
-
-
-def test_apply_switch_requires_normalized_state():
-    rng = substream(13, 0)
-    bad = optics.PhotonState(1.0, 1.0, 0.0)
-    with pytest.raises(ContractViolationError):
-        optics.apply_switch(bad, set(), rng)
+    bs = optics.BeamSplitter(0.3, 0.7)
+    for pol in (optics.H, optics.V, optics.PLUS):
+        clicks, survivor = optics.apply_switch(optics.bs_forward(pol, bs), both)
+        assert all(c.detector is optics.Detector.D2 for _, c in clicks)
+        assert sum(p for p, _ in clicks) == pytest.approx(bs.t, abs=1e-15)
+        assert survivor.norm_sq == pytest.approx(bs.r, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +146,8 @@ def test_bs_return_collapsed_sender_arm():
 
 
 def test_bs_return_vacuum():
-    assert optics.bs_return(optics.VACUUM, BALANCED) == (0.0, 0.0)
+    # An absorbed photon leaves no amplitude to reach D0 or D1.
+    assert optics.bs_return(optics.PhotonState(0, 0, 0), BALANCED) == (0.0, 0.0)
 
 
 def test_bs_return_receiver_arm_alone():
@@ -258,26 +244,18 @@ def test_run_slot_matches_closed_form(r):
 
 def _run_slot_uncached(a_bit, b_bit, bs, rng):
     """run_slot without the mirror's table: every amplitude step on every
-    call, then one uniform against the cumulative branch law (the switch's
-    click branches, then D0/D1 after no click), none when one outcome holds
-    all the mass."""
+    call, then one uniform against the cumulative absolute masses (the
+    switch's clicks, then D0/D1 of the survivor), none when one outcome
+    holds all the mass."""
     state = optics.bs_forward(optics.Polarization.from_bit(b_bit), bs)
-    clicks, survivor = optics._switch_branches(
+    clicks, survivor = optics.apply_switch(
         state, {optics.TIME_BIN_LOOP if a_bit else optics.TIME_BIN_DIRECT})
-    law = []
-    no_click = 1.0
-    for p_here, click in clicks:
-        law.append((no_click * p_here, click))
-        no_click *= 1.0 - p_here
     p0, p1 = optics.bs_return(survivor, bs)
-    if p0 + p1 > 0.0:
-        law.append((no_click * p0 / (p0 + p1), optics.DetectionOutcome(
-            optics.Detector.D0, optics.TIME_BIN_RETURN)))
-        law.append((no_click * p1 / (p0 + p1), optics.DetectionOutcome(
-            optics.Detector.D1, optics.TIME_BIN_RETURN)))
-    else:
-        law.append((no_click, optics.DetectionOutcome(
-            optics.Detector.NONE, optics.TIME_BIN_NONE)))
+    law = [*clicks,
+           (p0, optics.DetectionOutcome(optics.Detector.D0,
+                                        optics.TIME_BIN_RETURN)),
+           (p1, optics.DetectionOutcome(optics.Detector.D1,
+                                        optics.TIME_BIN_RETURN))]
     law = [(p, outcome) for p, outcome in law if p > 0.0]
     if len(law) == 1:
         return law[0][1]
@@ -318,6 +296,26 @@ def test_run_slot_draws_only_when_the_outcome_is_uncertain(r, a_bit, b_bit,
         expected.random(draws)
         optics.run_slot(a_bit, b_bit, bs, rng)
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_slot_table_masses_equal_closed_form(a_bit, b_bit):
+    # Down to r = 1e-29 the photon that escapes the switch must still reach
+    # D0 or D1 with its closed-form mass; no survivor may be cut to nothing.
+    rs = [0.0, 1.0, *(10.0 ** -k for k in range(1, 30)),
+          *np.random.default_rng(25).random(200)]
+    for r in rs:
+        bs = optics.BeamSplitter(float(r), 1.0 - float(r))
+        outcomes, cuts = optics._slot_table(a_bit, b_bit, bs)
+        assert len(cuts) == len(outcomes) - 1
+        ends = (0.0, *cuts, 1.0)
+        closed = optics.outcome_distribution(a_bit, b_bit, bs)
+        masses = dict.fromkeys(closed, 0.0)
+        for outcome, lo, hi in zip(outcomes, ends, ends[1:]):
+            assert outcome.detector in masses, (r, outcome)
+            masses[outcome.detector] += hi - lo
+        for det, p in closed.items():
+            assert abs(masses[det] - p) <= 1e-15, (r, det)
 
 
 def _sample_detectors_masked(eq, bs, rng):
