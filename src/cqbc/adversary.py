@@ -3,17 +3,17 @@
 Each attack returns an AttackReport holding the closed-form expectation
 next to the simulated totals so the two routes can be cross-checked.
 
-Alice's intercept and intercept/resend attacks are each one set of per-slot
-click-count tables: the honest channel of `optics.outcome_distribution` on
-unattacked slots and an attack table on attacked ones. The expectations and
-the simulated totals both read that one set. The tables follow the
-published accounting of the attack totals: an intercepted slot whose bits
-mismatch hands the photon to Alice deterministically, and a resending
-Alice always re-emits one photon per attacked slot (so total clicks are
-exactly n + n0_resend). Sequences are sampled as counts of table rows,
-not slot by slot, so their time and memory do not grow with n; the
-reports carry the exact alter success of the tables (`p_alter_model`)
-next to the paper's formula.
+Alice's intercept and intercept/resend attacks are each two slot classes,
+unattacked and attacked, each a mixture of click rows: the honest channel
+of `optics.outcome_distribution` on unattacked slots and the attack's rows
+on attacked ones. The expectations and the simulated totals both read
+those two classes. The rows follow the published accounting of the attack
+totals: an intercepted slot whose bits mismatch hands the photon to Alice
+deterministically, and a resending Alice always re-emits one photon per
+attacked slot (so total clicks are exactly n + n0_resend). Sequences are
+sampled as counts of each class's rows, not slot by slot, so their time
+and memory do not grow with n; the reports carry the exact alter success
+of the classes (`p_alter_model`) next to the paper's formula.
 
 Bob's attacks are sampled as counts too. Alice's D2-rate check reads only
 each sequence's D2 count, a binomial with the reported per-slot rate, and
@@ -71,27 +71,31 @@ class AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-slot click tables. A table lists ((beta0, beta1, alpha), probability)
-# rows; an attack is four tables indexed by 2 * attacked + mismatched. The
-# closed-form expectations and the sampler read the same tables.
+# Alice's intercept attacks: two slot classes, unattacked and attacked, each
+# a mixture of (beta0, beta1, alpha) click rows. The closed-form
+# expectations and the sampler read the same classes.
 # ---------------------------------------------------------------------------
 
-def _channel_table(a_bit: int, b_bit: int, bs: optics.BeamSplitter) -> list:
-    """The honest comparison channel: one click per slot."""
-    dist = optics.outcome_distribution(a_bit, b_bit, bs)
-    return [((1, 0, 0), dist[optics.Detector.D0]),
-            ((0, 1, 0), dist[optics.Detector.D1]),
-            ((0, 0, 1), dist[optics.Detector.D2])]
+@dataclass(frozen=True)
+class _SlotClass:
+    """One slot class of an intercept attack.
+
+    rows holds int16 (beta0, beta1, alpha) click counts, mix each row's
+    probability in a slot whose bits match with probability 1/2. flip[:, 0]
+    marks the rows Alice may flip (she cannot tell Bob confirmed the slot),
+    flip[:, 1] those whose record also leaves the flip unflagged (a D0
+    click, no D1).
+    """
+
+    rows: np.ndarray
+    mix: np.ndarray
+    flip: np.ndarray
 
 
-class _SlotTables:
-    """The four slot tables of one attack, as the row mixtures of its two
-    slot classes.
-
-    rows lists the rows of all four tables, the unattacked class's first;
-    attacked marks the attacked class's rows. mix[a] holds the probability
-    of each row of class a (1 = attacked), over that class's rows only, in
-    a slot whose bits match with probability 1/2.
+def _slot_classes(bs: optics.BeamSplitter,
+                  resend: bool) -> tuple[_SlotClass, _SlotClass]:
+    """The unattacked and the attacked class of the intercept or the
+    intercept/resend attack.
 
     A sequence is sampled as its row counts, not slot by slot. Bob's bits
     are uniform, i.i.d. and independent of Alice's, so each slot's
@@ -101,82 +105,36 @@ class _SlotTables:
     unattacked and n0 attacked slots of a sequence have multinomial row
     counts, exactly as the per-slot draws would.
     """
-
-    def __init__(self, tables: list):
-        self.rows = np.array([c for table in tables for c, _ in table],
-                             dtype=np.int16)
-        self.mix = [np.array([0.5 * prob
-                              for table in tables[2 * a:2 * a + 2]
-                              for _, prob in table]) for a in (0, 1)]
-        self.attacked = np.arange(len(self.rows)) >= len(self.mix[0])
-
-    def counts(self, unattacked: int, attacked: int,
-               rng: np.random.Generator, size=None) -> np.ndarray:
-        """Row counts of `unattacked` plus `attacked` slots: one row of
-        len(rows) counts, or `size` of them."""
-        return np.concatenate(
-            [rng.multinomial(unattacked, self.mix[0], size),
-             rng.multinomial(attacked, self.mix[1], size)], axis=-1)
-
-    def class_probabilities(self, mask: np.ndarray) -> tuple[float, float]:
-        """Probability that a slot of each class draws a row in mask."""
-        return (float(self.mix[0][mask[~self.attacked]].sum()),
-                float(self.mix[1][mask[self.attacked]].sum()))
-
-    def expected_totals(self, n: int, n_attacked: int) -> tuple[dict, dict]:
-        """Mean and standard deviation of the (D0, D1, D2) click totals of
-        n slots, n_attacked of them attacked, each slot's bits matching
-        with probability 1/2."""
-        mean = np.zeros(3)
-        var = np.zeros(3)
-        for attacked, slots in ((0, n - n_attacked), (1, n_attacked)):
-            first = np.zeros(3)
-            second = np.zeros(3)
-            rows = self.rows[self.attacked == attacked].astype(float)
-            for prob, c in zip(self.mix[attacked], rows):
-                first += prob * c
-                second += prob * c * c
-            mean += slots * first
-            var += slots * (second - first * first)
-        return (dict(zip(DETECTORS, mean.tolist())),
-                dict(zip(DETECTORS, np.sqrt(var).tolist())))
-
-
-def _attack_tables(bs: optics.BeamSplitter, resend: bool) -> list:
-    """The four slot tables of the intercept or the intercept/resend
-    attack."""
-    honest = [_channel_table(0, 0, bs), _channel_table(0, 1, bs)]
+    clicks = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]   # one click: D0, D1, D2
+    matched, mismatched = (
+        list(zip(clicks, optics.outcome_distribution(0, b_bit, bs).values()))
+        for b_bit in (0, 1))
     # Opening both bins adds nothing on matched slots (the honest bin is
     # already covered); on mismatched slots Alice captures the photon.
-    attacked = [honest[0], [((0, 0, 1), 1.0)]]
+    attacked = matched + [((0, 0, 1), 1.0)]
     if resend:
         # Alice re-emits one photon per attacked slot, captured or not; it
         # re-enters the receiver arm alone: D0 with t, D1 with r.
-        resent = [((1, 0, 0), bs.t), ((0, 1, 0), bs.r)]
-        attacked = [
-            [(tuple(x + y for x, y in zip(counts, extra)), prob * p_extra)
-             for counts, prob in table for extra, p_extra in resent]
-            for table in attacked
-        ]
-    return honest + attacked
+        attacked = [(tuple(x + y for x, y in zip(counts, extra)),
+                     prob * p_extra)
+                    for counts, prob in attacked
+                    for extra, p_extra in (((1, 0, 0), bs.t),
+                                           ((0, 1, 0), bs.r))]
+    classes = []
+    for table, is_attacked in ((matched + mismatched, False),
+                               (attacked, True)):
+        rows = np.array([counts for counts, _ in table], dtype=np.int16)
+        candidate = (rows[:, 2] == 0) | (resend and is_attacked)
+        unflagged = (rows[:, 0] > 0) & (rows[:, 1] == 0)
+        classes.append(_SlotClass(
+            rows=rows, mix=np.array([0.5 * prob for _, prob in table]),
+            flip=np.column_stack([candidate, candidate & unflagged])))
+    return tuple(classes)
 
 
-# ---------------------------------------------------------------------------
-# Alice's intercept attacks
-# ---------------------------------------------------------------------------
-
-def _flip_masks(tables: _SlotTables, resend: bool):
-    """Per row: may Alice flip the slot (she cannot tell Bob confirmed it),
-    and does Bob's record leave the flip unflagged (a D0 click, no D1)?"""
-    candidate = tables.rows[:, 2] == 0
-    if resend:
-        candidate |= tables.attacked
-    unflagged = (tables.rows[:, 0] > 0) & (tables.rows[:, 1] == 0)
-    return candidate, unflagged
-
-
-def _alter_success_loop(n, n0, tables, flip, rng, trials):
-    """Empirical one-bit alter success over fresh attacked sequences.
+def _alter_success_loop(classes, slots, rng, trials):
+    """Empirical one-bit alter success over fresh attacked sequences of
+    `slots` (unattacked, attacked) slots.
 
     Per the attack analysis, success is graded on the flipped slot alone:
     Alice flips one bit she cannot tell Bob confirmed, and succeeds iff
@@ -184,16 +142,15 @@ def _alter_success_loop(n, n0, tables, flip, rng, trials):
     among the candidate slots is unflagged with probability unflagged
     candidates / candidates, so a trial needs only its row counts and one
     uniform. Trials without a candidate are not graded; their number is
-    returned too. At n0 = 0 this is the alter of an honest commit, graded
-    by the protocol's rule without its D2-rate window.
+    returned too. With no attacked slot this is the alter of an honest
+    commit, graded by the protocol's rule without its D2-rate window.
     """
-    candidate, unflagged = flip
-    # Per trial: its candidate slots and its unflagged candidate slots.
-    masks = np.column_stack([candidate, candidate & unflagged])
     successes = 0
     graded = 0
-    for chunk in _chunks(trials, len(tables.rows)):
-        candidates, good = (tables.counts(n - n0, n0, rng, chunk) @ masks).T
+    for chunk in _chunks(trials, sum(len(cls.rows) for cls in classes)):
+        # Per trial: its candidate slots and its unflagged candidate slots.
+        candidates, good = sum(rng.multinomial(k, cls.mix, chunk) @ cls.flip
+                               for cls, k in zip(classes, slots)).T
         graded += int(np.count_nonzero(candidates))
         successes += int((rng.random(chunk) * candidates < good).sum())
     if graded == 0:
@@ -201,7 +158,7 @@ def _alter_success_loop(n, n0, tables, flip, rng, trials):
     return successes / graded, trials - graded
 
 
-def _alter_model_probability(n, n0, tables, flip):
+def _alter_model_probability(classes, slots):
     """The alter success that _alter_success_loop samples, exactly.
 
     Let s_c be the probability that a slot of class c is a candidate and
@@ -217,10 +174,8 @@ def _alter_model_probability(n, n0, tables, flip):
     within 1e-15 of 40-digit quadrature up to n = MAX_ITEM_SLOTS.
     None when no trial can have a candidate.
     """
-    candidate, unflagged = flip
-    s = tables.class_probabilities(candidate)
-    w = tables.class_probabilities(candidate & unflagged)
-    slots = (n - n0, n0)
+    s, w = ([float(cls.mix[cls.flip[:, j]].sum()) for cls in classes]
+            for j in (0, 1))
     log_none = sum(k * math.log1p(-sc) if sc < 1.0 else -math.inf
                    for k, sc in zip(slots, s) if k)
     p_candidate = -math.expm1(log_none)
@@ -235,9 +190,10 @@ def _alter_model_probability(n, n0, tables, flip):
         lam = powers[0] * s[c] + powers[1] * s[1 - c]
         z_max = min(1.0, 40.0 / lam) if lam > 0 else 1.0
         z = z_max * nodes
-        # A factor 1 - s z reaches 0 only at z = 1 with s = 1: log -inf.
+        # A factor 1 - s z reaches 0 only at z = 1 with s = 1: log -inf. A
+        # certain class's mass may round to just above 1; it is 1 there.
         with np.errstate(divide="ignore"):
-            log_f = sum(power * np.log1p(-sc * z)
+            log_f = sum(power * np.log1p(-np.minimum(sc * z, 1.0))
                         for power, sc in zip(powers, (s[c], s[1 - c]))
                         if power)
         success += slots[c] * w[c] * z_max * float(np.sum(weights
@@ -284,16 +240,22 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         raise ParameterError("alter_trials must be >= 0")
     # Nothing here grows with n, but sequences stay within the one limit.
     check_item_slots(n)
-    tables = _SlotTables(_attack_tables(params.bs, resend))
-    flip = _flip_masks(tables, resend)
-    totals = tables.counts(params.m * (n - n0), params.m * n0,
-                           rng) @ tables.rows
-    expected, std = tables.expected_totals(n, n0)
+    classes = _slot_classes(params.bs, resend)
+    slots = (n - n0, n0)
+    totals = sum(rng.multinomial(params.m * k, cls.mix) @ cls.rows
+                 for cls, k in zip(classes, slots))
+    mean = np.zeros(3)
+    var = np.zeros(3)
+    for cls, k in zip(classes, slots):
+        weighted = cls.mix[:, None] * cls.rows
+        first = weighted.sum(axis=0)
+        mean += k * first
+        var += k * ((weighted * cls.rows).sum(axis=0) - first * first)
     p_emp = None
     extras = {"total_clicks": int(totals.sum())}
     if alter_trials:
         p_emp, extras["trials_without_flippable_slot"] = _alter_success_loop(
-            n, n0, tables, flip, rng, alter_trials)
+            classes, slots, rng, alter_trials)
     if resend:
         strategy = "alice-intercept-resend"
         p_alter = resend_alter_probability(n, n0)
@@ -301,13 +263,13 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     else:
         strategy = "alice-intercept"
         p_alter = intercept_alter_probability(n, n0)
-    # The paper's p_alter next to the exact one of the tables sampled here.
-    extras["p_alter_model"] = _alter_model_probability(n, n0, tables, flip)
+    # The paper's p_alter next to the exact one of the classes sampled here.
+    extras["p_alter_model"] = _alter_model_probability(classes, slots)
     return AttackReport(
         strategy=strategy,
         params={"n": n, "m": params.m, n0_key: n0},
-        expected={k: params.m * v for k, v in expected.items()},
-        std={k: np.sqrt(params.m) * v for k, v in std.items()},
+        expected=dict(zip(DETECTORS, (params.m * mean).tolist())),
+        std=dict(zip(DETECTORS, np.sqrt(params.m) * np.sqrt(var))),
         empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
         p_alter_analytic=p_alter,
         p_alter_empirical=p_emp,

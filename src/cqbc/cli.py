@@ -292,9 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    probe, _ = parser.parse_known_args(argv)
-    if probe.config:
-        with open(probe.config) as fh:
+    # The probe knows no subcommand, so their required flags cannot stop it
+    # before the file is read. A --config after the subcommand falls in the
+    # rest, and with no subcommand nothing is read: both are usage errors.
+    probe = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    probe.add_argument("--config")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
+    known = probe.parse_known_args(argv)[0]
+    if known.config and known.rest:
+        with open(known.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ParameterError("config file must hold a JSON object")
@@ -303,10 +309,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                       for sub in action.choices.values()]
         _check_config(config, [parser] + subparsers)
         # subcommand options carry their own defaults, which would shadow
-        # the config values; push each value into the parsers that own it
+        # the config values; push each value into the parsers that own it,
+        # and free its flag of `required`, checked on the command line only
         for p in [parser] + subparsers:
             dests = {action.dest for action in p._actions}
             p.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            for action in p._actions:
+                if action.dest in config:
+                    action.required = False
     args = parser.parse_args(argv)
     # Refused here, so that a command that draws nothing (params) does not
     # echo a seed that could seed nothing.

@@ -14,7 +14,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -185,18 +185,12 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
 # Concealing oracle: exact enumeration of Bob's classical view at tiny n
 # ---------------------------------------------------------------------------
 
-Channel = Callable[[int, int], tuple[float, float, float]]
-"""Per-slot outcome probabilities (P_D0, P_D1, P_D2) given (a_bit, b_bit)."""
-
-
-def perfect_channel(a_bit: int, b_bit: int) -> tuple[float, float, float]:
-    """Hypothetical fully distinguishing channel: disjoint, certain outcomes."""
-    return (1.0, 0.0, 0.0) if a_bit != b_bit else (0.0, 0.0, 1.0)
-
-
-def _view_distribution(n: int, b_commit: int, channel: Channel) -> dict:
+def _view_distribution(n: int, b_commit: int,
+                       bs: optics.BeamSplitter) -> dict:
     """Exact distribution of Bob's full view (his bits + per-slot click
     record, with no-click read as a D2 event) for a given committed bit."""
+    channel = [[tuple(optics.outcome_distribution(a, b, bs).values())
+                for b in (0, 1)] for a in (0, 1)]
     dist: dict = defaultdict(float)
     a_weight = 1.0 / 2 ** (n - 1)
     b_weight = 1.0 / 2 ** n
@@ -204,7 +198,7 @@ def _view_distribution(n: int, b_commit: int, channel: Channel) -> dict:
         for a_str in itertools.product((0, 1), repeat=n):
             if np.bitwise_xor.reduce(a_str) != b_commit:
                 continue
-            slot_probs = [channel(a, b) for a, b in zip(a_str, b_str)]
+            slot_probs = [channel[a][b] for a, b in zip(a_str, b_str)]
             for outcome in itertools.product((0, 1, 2), repeat=n):
                 prob = a_weight * b_weight
                 for j, o in enumerate(outcome):
@@ -217,21 +211,14 @@ def _view_distribution(n: int, b_commit: int, channel: Channel) -> dict:
 def concealing_oracle_bruteforce(
     n: int,
     bs: Optional[optics.BeamSplitter] = None,
-    channel: Optional[Channel] = None,
 ) -> float:
     """Exact total-variation distance between Bob's view distributions
     conditioned on the two commitment values, by full enumeration."""
     if not 2 <= n <= 4:
         raise ParameterError("brute-force oracle supports 2 <= n <= 4 only")
-    if channel is None:
-        bs = bs or optics.BeamSplitter.balanced()
-
-        def channel(a_bit: int, b_bit: int) -> tuple[float, float, float]:
-            dist = optics.outcome_distribution(a_bit, b_bit, bs)
-            return (dist[optics.Detector.D0], dist[optics.Detector.D1],
-                    dist[optics.Detector.D2])
-    d0 = _view_distribution(n, 0, channel)
-    d1 = _view_distribution(n, 1, channel)
+    bs = bs or optics.BeamSplitter.balanced()
+    d0 = _view_distribution(n, 0, bs)
+    d1 = _view_distribution(n, 1, bs)
     keys = set(d0) | set(d1)
     return 0.5 * sum(abs(d0.get(k, 0.0) - d1.get(k, 0.0)) for k in keys)
 

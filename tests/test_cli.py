@@ -466,6 +466,43 @@ def test_config_file_sets_only_the_subcommands_options(capsys, tmp_path):
     assert not {"m", "n", "k"} & set(report["config"])
 
 
+def test_config_file_supplies_required_options(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target_binding": 3e-6,
+                               "target_concealing": 1.1e-6}))
+    report = run_json(capsys, "--config", str(cfg), "params")
+    assert report["results"]["chosen"] == {"m": 70, "n": 130}
+    cfg.write_text(json.dumps({"strategy": "bob-bs"}))
+    report = run_json(capsys, "--config", str(cfg), "attack", "--runs", "10")
+    assert report["results"]["strategy"] == "bob-illegal-bs"
+    report = run_json(capsys, "--config", str(cfg), "attack", "--runs", "10",
+                      "--strategy", "bob-multiphoton")
+    assert report["results"]["strategy"] == "bob-multiphoton"
+
+
+@pytest.mark.parametrize("config, argv", [
+    (None, ("params",)),
+    (None, ("attack", "--runs", "10")),
+    ({"strategy": "nope"}, ("--config", "{cfg}", "attack", "--runs", "10")),
+    # --config belongs before the subcommand, whether or not the file exists
+    ({"strategy": "bob-bs"}, ("attack", "--runs", "10", "--config", "{cfg}")),
+    ({"strategy": "bob-bs"}, ("attack", "--strategy", "bob-bs",
+                              "--config", "{cfg}")),
+    (None, ("attack", "--config", "{cfg}")),
+    (None, ("params", "--target-binding", "3e-6", "--target-concealing",
+            "1.1e-6", "--config", "{cfg}")),
+])
+def test_required_option_missing_or_misplaced_config_is_usage_error(
+        capsys, tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+    code, out, _ = run(capsys, *(str(cfg) if arg == "{cfg}" else arg
+                                 for arg in argv))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+
+
 @pytest.mark.parametrize("config", [
     {"m": 2.5, "n": 16},
     {"bogus": 1},

@@ -221,9 +221,10 @@ def test_oracle_balanced_known_values():
 
 
 def test_oracle_perfect_channel_fully_leaks():
-    tv = security.concealing_oracle_bruteforce(
-        2, channel=security.perfect_channel
-    )
+    # At r = 0 a matched slot clicks D2 and a mismatched one D0, both
+    # certainly: Bob reads every one of Alice's bits.
+    tv = security.concealing_oracle_bruteforce(2,
+                                               optics.BeamSplitter(0.0, 1.0))
     assert tv == pytest.approx(1.0, abs=1e-12)
 
 
