@@ -269,7 +269,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         strategy=strategy,
         params={"n": n, "m": params.m, n0_key: n0},
         expected=dict(zip(DETECTORS, (params.m * mean).tolist())),
-        std=dict(zip(DETECTORS, np.sqrt(params.m) * np.sqrt(var))),
+        std=dict(zip(DETECTORS, (np.sqrt(params.m) * np.sqrt(var)).tolist())),
         empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
         p_alter_analytic=p_alter,
         p_alter_empirical=p_emp,

@@ -25,7 +25,6 @@ import sys
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 
-from . import adversary, optics, protocol, security
 from .errors import (
     AttackImpossibleError,
     ContractViolationError,
@@ -83,6 +82,7 @@ def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
 def cmd_table1(args) -> tuple[dict, list, list]:
     if args.trials < 1000:
         raise ParameterError("table1 needs at least 1000 trials")
+    from . import optics
     bs = optics.BeamSplitter(args.r, 1.0 - args.r)
     rng = substream(args.seed, 10)
     warnings = []
@@ -123,13 +123,15 @@ def cmd_table1(args) -> tuple[dict, list, list]:
     return results, rows, header
 
 
-def _commitment_params(args) -> protocol.CommitmentParams:
+def _commitment_params(args):
+    from . import optics, protocol
     return protocol.CommitmentParams(
         m=args.m, n=args.n, bs=optics.BeamSplitter(args.r, 1.0 - args.r),
         master_seed=args.seed)
 
 
 def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
+    from . import protocol
     transcript = protocol.run_commit_phase(_commitment_params(args),
                                            b=args.bit)
     opening = transcript.honest_opening()
@@ -146,7 +148,7 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 
 
-def _attack_alice_alter(args, params, rng) -> dict:
+def _attack_alice_alter(adversary, args, params, rng) -> dict:
     """Per-sequence alter success of an honest commit, sampled as the
     intercept attack on no slot; the m-sequence success probability is
     composed analytically (naive full-protocol sampling of a ~1e-6 event is
@@ -154,6 +156,7 @@ def _attack_alice_alter(args, params, rng) -> dict:
     flip: it is counted apart and not graded."""
     if args.trials < 1:
         raise ParameterError("alice-alter needs --trials >= 1")
+    from . import security
     # A degenerate mirror has no analytic value; refuse it before sampling.
     probs = security.comparison_probs(params.bs)
     analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
@@ -174,27 +177,30 @@ def _attack_alice_alter(args, params, rng) -> dict:
     }
 
 
-# The call behind each --strategy choice: (args, params, rng) -> results.
+# The call behind each --strategy choice:
+# (adversary module, args, params, rng) -> results.
 _ATTACKS = {
-    "alice-intercept": lambda a, params, rng: adversary.alice_intercept(
+    "alice-intercept": lambda adv, a, params, rng: adv.alice_intercept(
         a.n0, params, rng, alter_trials=a.trials).to_dict(),
     "alice-intercept-resend":
-        lambda a, params, rng: adversary.alice_intercept_resend(
+        lambda adv, a, params, rng: adv.alice_intercept_resend(
             a.n0, params, rng, alter_trials=a.trials).to_dict(),
     "alice-alter": _attack_alice_alter,
-    "bob-bs": lambda a, params, rng: adversary.bob_illegal_bs(
+    "bob-bs": lambda adv, a, params, rng: adv.bob_illegal_bs(
         a.t_prime, params, rng, runs=a.runs).to_dict(),
-    "bob-multiphoton": lambda a, params, rng: adversary.bob_multiphoton(
+    "bob-multiphoton": lambda adv, a, params, rng: adv.bob_multiphoton(
         a.k, params, rng, runs=a.runs).to_dict(),
     "bob-polarization":
-        lambda a, params, rng: adversary.bob_illegal_polarization(
-            optics.PLUS, params, rng, runs=a.runs).to_dict(),
+        lambda adv, a, params, rng: adv.bob_illegal_polarization(
+            adv.optics.PLUS, params, rng, runs=a.runs).to_dict(),
 }
 
 
 def cmd_attack(args) -> tuple[dict, list, list]:
+    from . import adversary
     rng = substream(args.seed, 20)
-    results = _ATTACKS[args.strategy](args, _commitment_params(args), rng)
+    results = _ATTACKS[args.strategy](adversary, args,
+                                      _commitment_params(args), rng)
 
     rows, header = None, None
     if "expected" in results and "empirical" in results:
@@ -207,6 +213,7 @@ def cmd_attack(args) -> tuple[dict, list, list]:
 
 
 def cmd_params(args) -> tuple[dict, list, list]:
+    from . import optics, security
     bs = optics.BeamSplitter(args.r, 1.0 - args.r)
     result = security.choose_parameters(
         args.target_binding, args.target_concealing, bs,

@@ -127,6 +127,30 @@ def test_report_json_round_trip():
     assert loaded["expected"]["D2"] == pytest.approx(25.0)
 
 
+def _plain(value):
+    """Whether `value` is built of plain Python values only: a numpy scalar
+    subclassing float or int is not plain."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (int, float, str, bool)
+
+
+@pytest.mark.parametrize("attack", [
+    lambda p, rng: adversary.alice_intercept(3, p, rng, alter_trials=20),
+    lambda p, rng: adversary.alice_intercept_resend(3, p, rng,
+                                                    alter_trials=20),
+    lambda p, rng: adversary.bob_illegal_bs(0.8, p, rng, runs=5),
+    lambda p, rng: adversary.bob_multiphoton(2, p, rng, runs=5),
+    lambda p, rng: adversary.bob_illegal_polarization(optics.PLUS, p, rng,
+                                                      runs=5),
+])
+def test_report_dict_holds_plain_values(attack):
+    report = attack(params(m=2, n=16), substream(39, 0)).to_dict()
+    assert _plain(report), report
+
+
 # ---------------------------------------------------------------------------
 # Alice: slot classes against the keyed per-slot tables they replace
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqbc import adversary, cli, optics, protocol
+from cqbc import adversary, cli, optics, protocol, security
 from cqbc.errors import AttackImpossibleError
 from cqbc.rng import substream
 
@@ -195,7 +195,7 @@ def test_attack_alter_refuses_degenerate_mirror_before_sampling(capsys,
     def no_attack(*args, **kwargs):
         raise AssertionError("sampled an alter before refusing the mirror")
 
-    monkeypatch.setattr(cli.adversary, "alice_intercept", no_attack)
+    monkeypatch.setattr(adversary, "alice_intercept", no_attack)
     code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
                          "--r", "0", "--m", "1", "--n", "32")
     assert code == cli.EXIT_USAGE
@@ -387,13 +387,13 @@ def test_params_refuses_unmet_target_without_scanning(capsys, monkeypatch,
     # Both advantages are monotone, so the value at --max-m or --max-n
     # settles feasibility; a scan would evaluate up to 10^6 of them.
     calls = []
-    concealing_report = cli.security._concealing_report
+    concealing_report = security._concealing_report
 
     def counted(*args):
         calls.append(args)
         return concealing_report(*args)
 
-    monkeypatch.setattr(cli.security, "_concealing_report", counted)
+    monkeypatch.setattr(security, "_concealing_report", counted)
     code, out, err = run(capsys, "params", *argv)
     assert code == cli.EXIT_INFEASIBLE
     assert out == "" and err == f"infeasible: {message}\n"
@@ -589,6 +589,56 @@ def _run_python(probe):
 def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, cqbc.cli; print('scipy' in sys.modules)"
     assert _run_python(probe).stdout.strip() == "False"
+
+
+# The modules a command may leave unloaded, watched in a fresh interpreter.
+_LAZY = ("cqbc.optics", "cqbc.protocol", "cqbc.security", "cqbc.adversary",
+         "numpy.random")
+
+
+def _loaded(probe):
+    """Which of _LAZY a fresh interpreter holds after running `probe`."""
+    out = _run_python(probe + "\nimport json, sys\nprint(json.dumps("
+                      f"[m for m in {_LAZY!r} if m in sys.modules]))")
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_layer():
+    assert _loaded("import cqbc.cli") <= {"numpy.random"}
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["table1", "--trials", "1000"],
+     {"cqbc.protocol", "cqbc.security", "cqbc.adversary"}),
+    (["commit", "--bit", "1"], {"cqbc.security", "cqbc.adversary"}),
+    (["params", "--target-binding", "3e-6", "--target-concealing", "1.1e-6"],
+     {"cqbc.adversary", "numpy.random"}),
+    (["attack", "--strategy", "bob-bs", "--runs", "10"], {"cqbc.security"}),
+])
+def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
+    probe = f"from cqbc import cli\nassert cli.main({argv!r}) == 0"
+    assert not _loaded(probe) & unloaded
+
+
+def test_package_import_loads_no_submodule():
+    probe = ("import sys, cqbc\n"
+             "print([m for m in sys.modules if m.startswith('cqbc.')])")
+    assert _run_python(probe).stdout.strip() == "[]"
+
+
+def test_package_root_names_are_their_home_objects():
+    import cqbc
+    assert cqbc.__all__[-1] == "__version__"
+    for name in cqbc.__all__[:-1]:
+        obj = getattr(cqbc, name)
+        assert obj.__module__ in ("cqbc.optics", "cqbc.protocol",
+                                  "cqbc.security")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from cqbc import *", namespace)
+    assert set(cqbc.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cqbc.no_such_name
 
 
 def test_cli_runs_without_scipy():
