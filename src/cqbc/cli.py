@@ -12,12 +12,15 @@ produce byte-identical JSON apart from the generated_at timestamp, which
 is excluded from the determinism contract.
 
 Exit codes: 0 success, 2 usage/parameter error or an attack with no legal
-move, 3 infeasible targets, 4 I/O failure.
+move, 3 infeasible targets, 4 I/O failure (the --config file or a written
+report). `main` alone maps a failure to its code and its stderr prefix
+(`error:`, `infeasible:` or `I/O error:`; argparse prints its own usage).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -51,39 +54,37 @@ def _report_envelope(command: str, config: dict, results: dict) -> dict:
     }
 
 
-def _emit(report: dict, args, csv_rows=None, csv_header=None) -> None:
-    if args.format == "csv":
-        if csv_rows is None:
-            raise ParameterError(
-                f"command '{report['command']}' has no CSV representation"
-            )
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
+def _emit(report: dict, args, rows, header) -> None:
+    """Write the report to --out or stdout: its CSV rows under their
+    header, or the JSON envelope."""
+    if args.format == "csv" and rows is None:
+        raise ParameterError(
+            f"command '{report['command']}' has no CSV representation")
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "csv":
             writer = csv.writer(out)
-            if csv_header:
-                writer.writerow(csv_header)
-            writer.writerows(csv_rows)
-        finally:
-            if args.out:
-                out.close()
-        return
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _mirror(args):
+    """The beam splitter of --r: reflectivity r, transmissivity 1 - r."""
+    from . import optics
+    return optics.BeamSplitter(args.r, 1.0 - args.r)
+
+
 def cmd_table1(args) -> tuple[dict, list, list]:
     if args.trials < 1000:
         raise ParameterError("table1 needs at least 1000 trials")
     from . import optics
-    bs = optics.BeamSplitter(args.r, 1.0 - args.r)
+    bs = _mirror(args)
     rng = substream(args.seed, 10)
     warnings = []
     if args.r in (0.0, 1.0):
@@ -93,15 +94,13 @@ def cmd_table1(args) -> tuple[dict, list, list]:
     cases = {}
     rows = []
     all_pass = True
-    for label, eq in (("a_eq_b", True), ("a_neq_b", False)):
-        a_bit = 0
-        b_bit = 0 if eq else 1
-        analytic = optics.outcome_distribution(a_bit, b_bit, bs)
-        counts = {d: 0 for d in optics.Detector}
+    for label, b_bit in (("a_eq_b", 0), ("a_neq_b", 1)):   # Alice's bit 0
+        analytic = optics.outcome_distribution(0, b_bit, bs)
+        counts = dict.fromkeys(optics.Detector, 0)
         for _ in range(args.trials):
-            counts[optics.run_slot(a_bit, b_bit, bs, rng).detector] += 1
+            counts[optics.run_slot(0, b_bit, bs, rng).detector] += 1
         cells = {}
-        for det in (optics.Detector.D0, optics.Detector.D1, optics.Detector.D2):
+        for det in optics.Detector:
             p = analytic[det]
             freq = counts[det] / args.trials
             # 4-sigma binomial window; degenerate cells demand exactness.
@@ -124,10 +123,9 @@ def cmd_table1(args) -> tuple[dict, list, list]:
 
 
 def _commitment_params(args):
-    from . import optics, protocol
-    return protocol.CommitmentParams(
-        m=args.m, n=args.n, bs=optics.BeamSplitter(args.r, 1.0 - args.r),
-        master_seed=args.seed)
+    from . import protocol
+    return protocol.CommitmentParams(m=args.m, n=args.n, bs=_mirror(args),
+                                     master_seed=args.seed)
 
 
 def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
@@ -213,8 +211,8 @@ def cmd_attack(args) -> tuple[dict, list, list]:
 
 
 def cmd_params(args) -> tuple[dict, list, list]:
-    from . import optics, security
-    bs = optics.BeamSplitter(args.r, 1.0 - args.r)
+    from . import security
+    bs = _mirror(args)
     result = security.choose_parameters(
         args.target_binding, args.target_concealing, bs,
         max_m=args.max_m, max_n=args.max_n,
@@ -298,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON values an option of each argparse type accepts.
+_CONFIG_TYPES = {int: (int,), _finite_float: (int, float), None: (str,)}
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     # The probe knows no subcommand, so their required flags cannot stop it
     # before the file is read. A --config after the subcommand falls in the
@@ -311,19 +313,34 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ParameterError("config file must hold a JSON object")
-        subparsers = [sub for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction)
-                      for sub in action.choices.values()]
-        _check_config(config, [parser] + subparsers)
-        # subcommand options carry their own defaults, which would shadow
-        # the config values; push each value into the parsers that own it,
-        # and free its flag of `required`, checked on the command line only
-        for p in [parser] + subparsers:
-            dests = {action.dest for action in p._actions}
-            p.set_defaults(**{k: v for k, v in config.items() if k in dests})
+        options: dict = {}   # dest -> the options of every parser that own it
+        for p in [parser] + [sub for action in parser._actions
+                             if isinstance(action, argparse._SubParsersAction)
+                             for sub in action.choices.values()]:
             for action in p._actions:
-                if action.dest in config:
-                    action.required = False
+                if action.option_strings and action.dest not in ("help",
+                                                                 "config"):
+                    options.setdefault(action.dest, []).append(action)
+        for key, value in config.items():
+            if key not in options:
+                raise ParameterError(f"config key {key!r} is no option")
+            for action in options[key]:
+                # Only a value the option would accept from the command line.
+                if value is None:
+                    ok = action.default is None
+                else:
+                    ok = (not isinstance(value, bool)
+                          and isinstance(value, _CONFIG_TYPES[action.type])
+                          and (not isinstance(value, float)
+                               or math.isfinite(value))
+                          and (action.choices is None
+                               or value in action.choices))
+                if not ok:
+                    raise ParameterError(
+                        f"config value {value!r} does not fit option {key!r}")
+                # The value replaces the option's own default; `required`
+                # is checked on the command line only.
+                action.default, action.required = value, False
     args = parser.parse_args(argv)
     # Refused here, so that a command that draws nothing (params) does not
     # echo a seed that could seed nothing.
@@ -332,56 +349,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     return args
 
 
-# The JSON values an option of each argparse type accepts.
-_CONFIG_TYPES = {int: (int,), _finite_float: (int, float), None: (str,)}
-
-
-def _check_config(config: dict, parsers) -> None:
-    """Reject config keys that name no option, and values that the option
-    would not accept from the command line."""
-    options: dict = {}
-    for p in parsers:
-        for action in p._actions:
-            if action.option_strings and action.dest not in ("help", "config"):
-                options.setdefault(action.dest, []).append(action)
-    for key, value in config.items():
-        if key not in options:
-            raise ParameterError(f"config key {key!r} is no option")
-        for action in options[key]:
-            if value is None:
-                ok = action.default is None
-            else:
-                ok = (not isinstance(value, bool)
-                      and isinstance(value, _CONFIG_TYPES[action.type])
-                      and (not isinstance(value, float)
-                           or math.isfinite(value))
-                      and (action.choices is None or value in action.choices))
-            if not ok:
-                raise ParameterError(
-                    f"config value {value!r} does not fit option {key!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; every failure maps to its exit code here."""
     try:
-        args = _apply_config(parser, argv)
+        args = _apply_config(build_parser(), argv)
+        results, rows, header = args.func(args)
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "config")}
+        _emit(_report_envelope(args.command, config, results), args, rows,
+              header)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        results, rows, header = args.func(args)
-        config = {
-            k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "config") and not callable(v)
-        }
-        report = _report_envelope(args.command, config, results)
-        _emit(report, args, csv_rows=rows, csv_header=header)
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -389,7 +367,7 @@ def main(argv=None) -> int:
             AttackImpossibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -93,6 +93,18 @@ def test_resend_total_click_conservation_exact():
     assert report.extras["total_clicks"] == p.m * (n + n0)
 
 
+def test_resend_refuses_click_totals_past_int64():
+    # m (n + n0) = 2^63 wrapped round to -2^63 in the int64 totals.
+    rng = substream(35, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="int64"):
+        adversary.alice_intercept_resend(4, params(m=2**60, n=4), rng)
+    assert rng.bit_generator.state == state   # refused before any draw
+    largest = params(m=(2**63 - 1) // 8, n=4)
+    report = adversary.alice_intercept_resend(4, largest, rng)
+    assert report.extras["total_clicks"] == largest.m * 8
+
+
 def test_resend_totals_shift_with_n0():
     n, n0 = 2000, 800
     report = adversary.alice_intercept_resend(n0, params(n=n), substream(36, 0))

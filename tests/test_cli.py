@@ -347,6 +347,26 @@ def test_oversized_attack_is_refused_before_allocating(capsys, argv):
     assert peak < 10 * 2**20
 
 
+# Click totals past 2^63 - 1: the first two overflowed numpy's multinomial
+# with a traceback, the third wrapped round to a negative total_clicks.
+OVERFLOWING_TOTALS = (
+    ("attack", "--strategy", "alice-intercept", "--m", str(10**19), "--n", "2",
+     "--trials", "0"),
+    ("attack", "--strategy", "alice-alter", "--m", str(10**19), "--n", "2",
+     "--trials", "1"),
+    ("attack", "--strategy", "alice-intercept-resend", "--m", str(2**60),
+     "--n", "4", "--n0", "4", "--trials", "0"),
+)
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_TOTALS)
+def test_intercept_click_totals_past_int64_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "int64" in err
+
+
 def test_attack_bad_n0_is_usage_error(capsys):
     code, _, err = run(capsys, "attack", "--strategy", "alice-intercept",
                        "--n", "100", "--n0", "500", "--trials", "0")
@@ -568,6 +588,42 @@ def test_out_to_unwritable_path_is_io_error(capsys):
     assert code == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("argv, code, prefix", [
+    (("attack", "--strategy", "nonsense"), cli.EXIT_USAGE, "usage:"),
+    (("table1", "--trials", "10"), cli.EXIT_USAGE, "error:"),
+    (("params", "--target-binding", "1e-30", "--target-concealing", "0.5",
+      "--max-m", "10"), cli.EXIT_INFEASIBLE, "infeasible:"),
+    (IMPOSSIBLE_ALTER, cli.EXIT_USAGE, "error:"),
+    (("commit", "--m", "1", "--n", "4", "--out", "/nonexistent/dir/r.json"),
+     cli.EXIT_IO, "I/O error:"),
+    (("--config", "/nonexistent/cfg.json", "commit"), cli.EXIT_IO,
+     "I/O error:"),
+    (("--config", "{bad_json}", "commit"), cli.EXIT_IO, "I/O error:"),
+], ids=["usage", "parameter", "infeasible", "no-legal-move", "unwritable-out",
+        "missing-config", "non-json-config"])
+def test_each_failure_class_has_its_code_and_prefix(capsys, tmp_path, argv,
+                                                    code, prefix):
+    bad_json = tmp_path / "cfg.json"
+    bad_json.write_text("not json")
+    got, out, err = run(capsys, *(str(bad_json) if arg == "{bad_json}"
+                                  else arg for arg in argv))
+    assert got == code
+    assert out == ""
+    assert err.startswith(prefix), err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"bogus": 1, "m": 2.5}, "config key 'bogus' is no option"),
+    ({"m": 2.5, "bogus": 1}, "config value 2.5 does not fit option 'm'"),
+])
+def test_config_file_error_names_its_first_bad_key(capsys, tmp_path, config,
+                                                   message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, "--config", str(cfg), "commit") == (
+        cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_csv_unsupported_for_params_like_reports(capsys):
     # params has a CSV form; alice-alter does not
     code, _, err = run(capsys, "attack", "--strategy", "alice-alter",
@@ -712,6 +768,8 @@ _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 # an option this strategy never reads was echoed as NaN in the config
 @example(argv=["attack", "--strategy=alice-intercept", "--r=0.0",
                "--trials=0", "--n0=0", "--t-prime=nan", "--m=1", "--n=2"])
+# click totals past 2^63 - 1 overflowed int64 with a traceback
+@example(argv=list(OVERFLOWING_TOTALS[0]))
 def test_cli_fuzz_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
