@@ -156,8 +156,7 @@ def _attack_alice_alter(adversary, args, params, rng) -> dict:
         raise ParameterError("alice-alter needs --trials >= 1")
     from . import security
     # A degenerate mirror has no analytic value; refuse it before sampling.
-    probs = security.comparison_probs(params.bs)
-    analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
+    analytic_seq, _ = security._floats(security.comparison_probs(params.bs))
     report = adversary.alice_intercept(0, params, rng,
                                        alter_trials=args.trials)
     per_seq = report.p_alter_empirical
@@ -342,6 +341,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                 # is checked on the command line only.
                 action.default, action.required = value, False
     args = parser.parse_args(argv)
+    # Every count, bound and seed is an int64 to numpy and a float to math.
+    for key, value in vars(args).items():
+        if isinstance(value, int) and abs(value) >= 2**63:
+            raise ParameterError(
+                f"{key}'s magnitude is past the int64 limit 2^63 - 1")
     # Refused here, so that a command that draws nothing (params) does not
     # echo a seed that could seed nothing.
     if args.seed < 0:

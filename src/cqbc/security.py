@@ -114,12 +114,18 @@ def _concealing_report(m: int, n: int, log_pp: float) -> ConcealingReport:
     )
 
 
+def _floats(probs: ComparisonProbs) -> tuple[float, float]:
+    """The binding ratio (1 - p)/(1 - q) and log p' as floats, each taken
+    from an exact complement: at a tiny r, p and q round to one float and
+    p' to 1 (see concealing_advantage)."""
+    return (float((1 - probs.p) / (1 - probs.q)),
+            math.log1p(-float(1 - probs.p_prime)))
+
+
 @dataclass
 class ParamSearchResult:
     m: int
     n: int
-    binding: float
-    concealing: float
     trace: list = field(default_factory=list)  # {parameter, value, advantage}
 
 
@@ -138,25 +144,14 @@ def choose_parameters(
     if not (0.0 < target_binding <= 1.0 and 0.0 < target_concealing <= 1.0):
         raise ParameterError("targets must lie in (0, 1]")
     bs = bs or optics.BeamSplitter.balanced()
-    probs = comparison_probs(bs)
-    # From the exact probabilities: at a tiny r, p and q round to one float
-    # and p' to 1 (see concealing_advantage).
-    ratio = float((1 - probs.p) / (1 - probs.q))
-    log_pp = math.log1p(-float(1 - probs.p_prime))
-
+    ratio, log_pp = _floats(comparison_probs(bs))
     trace: list = []
     m = _first_meeting("binding", "m", 1, max_m, target_binding,
                        lambda cand: ratio ** cand, trace)
     n = _first_meeting(
         "concealing", "n", 2, max_n, target_concealing,
         lambda cand: _concealing_report(m, cand, log_pp).advantage, trace)
-    return ParamSearchResult(
-        m=m,
-        n=n,
-        binding=ratio ** m,
-        concealing=_concealing_report(m, n, log_pp).advantage,
-        trace=trace,
-    )
+    return ParamSearchResult(m=m, n=n, trace=trace)
 
 
 def _first_meeting(target_name, parameter, first, last, target, advantage,
@@ -259,10 +254,14 @@ def concealing_tv_monte_carlo(
 def security_report(m: int, n: int,
                     bs: Optional[optics.BeamSplitter] = None) -> dict:
     """Analytic security summary for one (m, n, beam splitter) choice, as
-    the plain values a report holds."""
+    the plain values a report holds: each advantage as choose_parameters
+    evaluates it."""
+    if m < 1 or n < 1:
+        raise ParameterError("m and n must be >= 1")
     bs = bs or optics.BeamSplitter.balanced()
     probs = comparison_probs(bs)
-    concealing = concealing_advantage(m, n, probs.p_prime)
+    ratio, log_pp = _floats(probs)
+    concealing = _concealing_report(m, n, log_pp)
     return {
         "m": m,
         "n": n,
@@ -271,7 +270,7 @@ def security_report(m: int, n: int,
         "p": float(probs.p),
         "p_prime": float(probs.p_prime),
         "q": float(probs.q),
-        "binding_advantage": float(binding_advantage(m, probs.p, probs.q)),
+        "binding_advantage": ratio ** m,
         "concealing": {
             "epsilon": concealing.epsilon,
             "advantage": concealing.advantage,

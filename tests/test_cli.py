@@ -367,6 +367,41 @@ def test_intercept_click_totals_past_int64_are_usage_errors(capsys, argv):
     assert err.startswith("error:") and "int64" in err
 
 
+# An int past int64 overflowed a float conversion with a traceback: k in
+# bob-multiphoton's capture law, max_m and max_n in the solver. A seed
+# past int64 was accepted.
+PAST_INT64 = (
+    ("seed", ("commit", "--m", "2", "--n", "8")),
+    ("k", ("attack", "--strategy", "bob-multiphoton", "--runs", "1")),
+    ("max_m", ("params", "--target-binding", "3e-6",
+               "--target-concealing", "1.1e-6")),
+    ("max_n", ("params", "--target-binding", "3e-6",
+               "--target-concealing", "1.1e-6")),
+)
+
+
+@pytest.mark.parametrize("key, argv", PAST_INT64)
+@pytest.mark.parametrize("value", [2**63, 10**400, -10**400],
+                         ids=["2^63", "10^400", "-10^400"])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_int_options_past_int64_are_usage_errors(capsys, tmp_path, key, argv,
+                                                 value, via_config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    option = (f"--{key.replace('_', '-')}", str(value))
+    code, out, err = run(capsys, *(("--config", str(cfg), *argv) if via_config
+                                   else (*argv, *option)))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: {key}'s magnitude is past the int64 limit "
+                   "2^63 - 1\n")
+
+
+@pytest.mark.parametrize("key, argv", PAST_INT64)
+def test_int_options_at_int64_max_run(capsys, key, argv):
+    run_json(capsys, *argv, f"--{key.replace('_', '-')}", str(2**63 - 1))
+
+
 def test_attack_bad_n0_is_usage_error(capsys):
     code, _, err = run(capsys, "attack", "--strategy", "alice-intercept",
                        "--n", "100", "--n0", "500", "--trials", "0")
@@ -453,6 +488,35 @@ def test_params_csv_rows_are_the_json_trace(capsys):
              "advantage": float(row["advantage"])}
             for row in csv.DictReader(io.StringIO(out))]
     assert rows == trace
+
+
+@pytest.mark.parametrize("r", ["0.5", "0.3"])
+def test_params_report_states_the_solvers_binding(capsys, r):
+    report = run_json(capsys, "params", "--r", r, "--target-binding", "3e-6",
+                      "--target-concealing", "1.1e-6")["results"]
+    probs = security.comparison_probs(optics.BeamSplitter(float(r),
+                                                          1 - float(r)))
+    ratio = float((1 - probs.p) / (1 - probs.q))
+    m = report["chosen"]["m"]
+    assert report["report"]["binding_advantage"] == ratio ** m
+    assert ({"parameter": "m", "value": m, "advantage": ratio ** m}
+            in report["search_trace"])
+
+
+def test_params_report_at_a_large_m_takes_no_exact_power(capsys):
+    # The exact rational power at m = 691 814 held integers of about 10 MB
+    # and took over a minute; the solver's float power takes microseconds.
+    tracemalloc.start()
+    try:
+        report = run_json(capsys, "params", "--r", "1e-3",
+                          "--target-binding", "1e-300",
+                          "--target-concealing", "0.5", "--max-m", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["results"]["chosen"] == {"m": 691_814, "n": 2}
+    assert report["results"]["report"]["binding_advantage"] <= 1e-300
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -729,29 +793,39 @@ def _options(**domains):
         for name, value in values.items()])
 
 
+def _ints(lo, hi):
+    """Values in [lo, hi], or, about one time in eight, at the int64 limit
+    or past it. Trial and run counts stay in their small ranges: their run
+    time grows with the value."""
+    return st.integers(1, 8).flatmap(
+        lambda draw: st.integers(lo, hi) if draw < 8
+        else st.sampled_from([2**63 - 1, 2**63, 10**400]))
+
+
 _FORMAT = st.sampled_from(["json", "csv"])
-_SIZE = dict(m=st.integers(-1, 4), n=st.integers(-1, 40))
+_SEED = _ints(-2, 50)
+_SIZE = dict(m=_ints(-1, 4), n=_ints(-1, 40))
 
 _ARGVS = st.one_of(
     _options(r=_reals(-0.5, 1.5), trials=st.integers(1000, 1500),
-             seed=st.integers(-2, 50), format=_FORMAT).map(
+             seed=_SEED, format=_FORMAT).map(
         lambda opts: ["table1"] + opts),
     st.tuples(
-        _options(r=_reals(-0.5, 1.5), seed=st.integers(-2, 50),
+        _options(r=_reals(-0.5, 1.5), seed=_SEED,
                  format=_FORMAT, **_SIZE),
         st.lists(st.sampled_from(["--bit=0", "--bit=1", "--open-bit=0",
                                   "--open-bit=1"]), max_size=2),
     ).map(lambda parts: ["commit"] + parts[0] + parts[1]),
     _options(strategy=st.sampled_from(sorted(cli._ATTACKS)),
              r=_reals(-0.5, 1.5), trials=st.integers(-1, 30),
-             seed=st.integers(-2, 50), n0=st.integers(-1, 41),
-             k=st.integers(-1, 5), t_prime=_reals(-0.5, 1.5),
+             seed=_SEED, n0=_ints(-1, 41),
+             k=_ints(-1, 5), t_prime=_reals(-0.5, 1.5),
              runs=st.integers(-1, 4), format=_FORMAT, **_SIZE).map(
         lambda opts: ["attack"] + opts),
     _options(r=_reals(-0.5, 1.5), target_binding=_reals(-0.5, 1.5),
              target_concealing=_reals(-0.5, 1.5),
-             max_m=st.integers(-1, 200), max_n=st.integers(-1, 400),
-             seed=st.integers(-2, 50), format=_FORMAT).map(
+             max_m=_ints(-1, 200), max_n=_ints(-1, 400),
+             seed=_SEED, format=_FORMAT).map(
         lambda opts: ["params"] + opts),
 )
 
@@ -770,6 +844,9 @@ _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
                "--trials=0", "--n0=0", "--t-prime=nan", "--m=1", "--n=2"])
 # click totals past 2^63 - 1 overflowed int64 with a traceback
 @example(argv=list(OVERFLOWING_TOTALS[0]))
+# an int past int64 overflowed a float conversion with a traceback
+@example(argv=["attack", "--strategy=bob-multiphoton", "--runs=1",
+               f"--k={10**400}"])
 def test_cli_fuzz_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

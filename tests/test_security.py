@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqbc import optics, security
@@ -137,8 +137,9 @@ def test_concealing_monotone_decreasing_in_n(n):
 def test_choose_parameters_reference_targets():
     res = security.choose_parameters(3e-6, 1.1e-6)
     assert (res.m, res.n) == (70, 130)
-    assert res.binding <= 3e-6
-    assert res.concealing <= 1.1e-6
+    report = security.security_report(res.m, res.n)
+    assert report["binding_advantage"] <= 3e-6
+    assert report["concealing"]["advantage"] <= 1.1e-6
     # minimality: one step back violates the target
     assert security.binding_advantage(res.m - 1, 3 / 8, 1 / 4) > 3e-6
     assert security.concealing_advantage(res.m, res.n - 1, 7 / 8).advantage > 1.1e-6
@@ -181,6 +182,10 @@ _targets = st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e)
                    st.floats(-20.0, -2.0).map(lambda e: 10.0 ** e)),
        target_binding=_targets, target_concealing=_targets,
        max_m=st.integers(0, 2000), max_n=st.integers(0, 2000))
+# the exact rational power the report once took rounded up past the target
+# that the solver's float power met
+@example(r=0.9, target_binding=0.9075069252077561, target_concealing=1.0,
+         max_m=100_000, max_n=1_000_000)
 def test_choose_parameters_matches_linear_scan(r, target_binding,
                                                target_concealing, max_m,
                                                max_n):
@@ -194,6 +199,10 @@ def test_choose_parameters_matches_linear_scan(r, target_binding,
         got = (res.m, res.n)
         assert len(res.trace) <= (math.ceil(math.log2(max_m))
                                   + math.ceil(math.log2(max_n - 1)) + 2)
+        # The report states the values the solver met.
+        report = security.security_report(res.m, res.n, bs)
+        assert report["binding_advantage"] <= target_binding
+        assert report["concealing"]["advantage"] <= target_concealing
     assert got == _scan_parameters(target_binding, target_concealing, bs,
                                    max_m, max_n)
 
@@ -281,6 +290,9 @@ def test_security_report_contents():
     assert 0.9e-6 <= d["concealing"]["advantage"] <= 1.1e-6
     import json
     assert json.loads(json.dumps(d, sort_keys=True)) == d
+    for m, n in ((0, 130), (70, 0)):
+        with pytest.raises(ParameterError):
+            security.security_report(m, n)
 
 
 # ---------------------------------------------------------------------------
