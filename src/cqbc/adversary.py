@@ -31,7 +31,7 @@ import numpy as np
 
 from . import optics, protocol
 from .errors import AttackImpossibleError, ParameterError
-from .rng import _chunks, check_item_slots
+from .rng import _chunks, check_draws, check_item_slots
 
 DETECTORS = ("D0", "D1", "D2")
 
@@ -238,6 +238,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         raise ParameterError(f"{n0_key} must lie in [0, n]")
     if alter_trials < 0:
         raise ParameterError("alter_trials must be >= 0")
+    check_draws(alter_trials)
     # Nothing here grows with n, but sequences stay within the one limit.
     check_item_slots(n)
     # The click totals are int64 sums: one click a slot, one more for each
@@ -363,9 +364,8 @@ def _sequence_fail(p_slot: float, n: int, lo: float, hi: float) -> float:
 
     Each report calls this once; the cache pays off across reports. Every
     slice of the benchmark's mc_large workload grades the same three
-    (rate, window) pairs, and at n = 130 an uncached call takes 0.05 to
-    0.10 ms: the three together are 2 to 3 % of a 9.3 ms slice (timeit
-    on 2 CPUs, Python 3.11, numpy 2.4).
+    (rate, window) pairs, and at n = 130 an uncached call takes 0.07 to
+    0.09 ms (timeit on 2 CPUs, Python 3.11, numpy 2.4).
     """
     window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
     if lo <= n * p_slot <= hi:
@@ -407,6 +407,7 @@ def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
         raise ParameterError("runs must be >= 1")
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
+    check_draws(runs * m)
     lo, hi = protocol.d2_window(params)
     detected = 0
     seq_failures = 0
@@ -476,6 +477,7 @@ def bob_illegal_polarization(
         raise ParameterError("runs must be >= 1")
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
+    check_draws(runs)
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
     slot = optics.slot_law(params.bs)

@@ -34,7 +34,7 @@ from .errors import (
     InfeasibleTargetError,
     ParameterError,
 )
-from .rng import DEFAULT_SEED, substream
+from .rng import DEFAULT_SEED, check_draws, substream
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +83,7 @@ def _mirror(args):
 def cmd_table1(args) -> tuple[dict, list, list]:
     if args.trials < 1000:
         raise ParameterError("table1 needs at least 1000 trials")
+    check_draws(2 * args.trials)   # one run_slot call per case and trial
     from . import optics
     bs = _mirror(args)
     rng = substream(args.seed, 10)

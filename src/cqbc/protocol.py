@@ -58,12 +58,22 @@ class BitSequenceSet:
     committed_bit: Optional[int] = None
 
 
+def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """An (m, n) uint8 array of i.i.d. fair bits, eight from each uniform
+    random byte: a per-bit bounded draw costs several times as much. The
+    bytes are drawn as uint8, never viewed from wider words, so the bits do
+    not depend on the machine's byte order."""
+    size = m * n
+    random_bytes = rng.integers(0, 256, size=(size + 7) // 8, dtype=np.uint8)
+    return np.unpackbits(random_bytes, count=size).reshape(m, n)
+
+
 def alice_generate(b: int, m: int, n: int,
                    rng: np.random.Generator) -> BitSequenceSet:
     """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
     if n < 2:
         raise ParameterError("n must be >= 2")
-    bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+    bits = _fair_bits(m, n, rng)
     prefix = bits[:, :-1]
     # A reduce along rows pays per row, which dominates short rows: reduce
     # those down a transposed copy (on long rows the copy costs more).
@@ -75,8 +85,7 @@ def alice_generate(b: int, m: int, n: int,
 
 def bob_generate(m: int, n: int, rng: np.random.Generator) -> BitSequenceSet:
     """Uniform i.i.d. comparison bits."""
-    bits = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-    return BitSequenceSet(bits)
+    return BitSequenceSet(_fair_bits(m, n, rng))
 
 
 @dataclass

@@ -39,6 +39,15 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 # table-row counts.
 MAX_ITEM_SLOTS = 1 << 22
 
+# Most Monte Carlo draws one call may make: 2 * trials slots for table1's
+# per-slot loop, runs * m D2 counts for bob-bs and bob-multiphoton, runs
+# for bob-polarization (one multinomial a run), and alter trials for the
+# intercept attacks and alice-alter. Memory stays bounded at any count, but
+# time does not, so a larger request is refused before anything is drawn.
+# The slowest paths, table1's loop and the resend alter trials, take about
+# 1 us a draw: 27 s and 36 s at this limit (2 CPUs, Python 3.11).
+MAX_CALL_DRAWS = 1 << 25
+
 # Slots (or counts: of table rows in an intercept alter trial, of D2 clicks
 # or click totals in a Bob run) one Monte Carlo chunk may hold. Batched
 # samplers draw whole chunks one after another from the caller's Generator,
@@ -54,6 +63,14 @@ def check_item_slots(slots: int) -> None:
         raise ParameterError(
             f"{slots} slots in one block exceed the limit of "
             f"{MAX_ITEM_SLOTS}")
+
+
+def check_draws(draws: int) -> None:
+    """Refuse a call of more than MAX_CALL_DRAWS Monte Carlo draws."""
+    if draws > MAX_CALL_DRAWS:
+        raise ParameterError(
+            f"{draws} Monte Carlo draws in one call exceed the limit of "
+            f"{MAX_CALL_DRAWS}")
 
 
 def _chunks(items: int, slots_per_item: int) -> Iterator[int]:

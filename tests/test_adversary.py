@@ -705,6 +705,32 @@ def test_bob_attack_memory_holds_counts_not_slots(attack):
     assert peak < 4 * 2**20
 
 
+# Each Monte Carlo call with its draws per count: runs * m D2 counts for
+# bob-bs and bob-multiphoton, one multinomial a run for bob-polarization,
+# one draw an alter trial for the intercept attacks.
+@pytest.mark.parametrize("attack, per_count", [
+    (lambda p, rng, k: adversary.bob_illegal_bs(0.8, p, rng, runs=k), 7),
+    (lambda p, rng, k: adversary.bob_multiphoton(2, p, rng, runs=k), 7),
+    (lambda p, rng, k: adversary.bob_illegal_polarization(optics.PLUS, p, rng,
+                                                          runs=k), 1),
+    (lambda p, rng, k: adversary.alice_intercept(10, p, rng,
+                                                 alter_trials=k), 1),
+    (lambda p, rng, k: adversary.alice_intercept_resend(10, p, rng,
+                                                        alter_trials=k), 1),
+])
+def test_draws_past_the_call_limit_are_refused_before_any_draw(
+        monkeypatch, attack, per_count):
+    monkeypatch.setattr(rng_module, "MAX_CALL_DRAWS", 70)
+    p = params(m=7, n=130)
+    largest = 70 // per_count
+    attack(p, substream(55, 0), largest)
+    rng = substream(55, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="limit of 70"):
+        attack(p, rng, largest + 1)
+    assert rng.bit_generator.state == state
+
+
 def test_chunk_boundaries_keep_counts_exact(monkeypatch):
     # One slot per chunk: every trial and run is a chunk of its own.
     monkeypatch.setattr(rng_module, "_CHUNK_SLOTS", 1)

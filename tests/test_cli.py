@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cqbc import adversary, cli, optics, protocol, security
 from cqbc.errors import AttackImpossibleError
-from cqbc.rng import substream
+from cqbc.rng import MAX_CALL_DRAWS, substream
 
 
 def run(capsys, *argv):
@@ -345,6 +345,30 @@ def test_oversized_attack_is_refused_before_allocating(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "limit" in err
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--trials", str(MAX_CALL_DRAWS // 2 + 1)),
+    ("attack", "--strategy", "bob-bs", "--runs",
+     str(MAX_CALL_DRAWS // 70 + 1)),
+    ("attack", "--strategy", "bob-bs", "--m", "1", "--n", "2",
+     "--runs", str(2**63 - 1)),
+    ("attack", "--strategy", "bob-multiphoton", "--runs",
+     str(MAX_CALL_DRAWS // 70 + 1)),
+    ("attack", "--strategy", "bob-polarization", "--runs",
+     str(MAX_CALL_DRAWS + 1)),
+    ("attack", "--strategy", "alice-alter", "--m", "1", "--n", "32",
+     "--trials", str(MAX_CALL_DRAWS + 1)),
+    ("attack", "--strategy", "alice-intercept", "--m", "1", "--n", "100",
+     "--n0", "10", "--trials", str(MAX_CALL_DRAWS + 1)),
+    ("attack", "--strategy", "alice-intercept-resend", "--m", "1", "--n",
+     "100", "--n0", "10", "--trials", str(2**63 - 1)),
+])
+def test_counts_past_the_draw_limit_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and f"limit of {MAX_CALL_DRAWS}" in err
 
 
 # Click totals past 2^63 - 1: the first two overflowed numpy's multinomial
@@ -795,8 +819,7 @@ def _options(**domains):
 
 def _ints(lo, hi):
     """Values in [lo, hi], or, about one time in eight, at the int64 limit
-    or past it. Trial and run counts stay in their small ranges: their run
-    time grows with the value."""
+    or past it."""
     return st.integers(1, 8).flatmap(
         lambda draw: st.integers(lo, hi) if draw < 8
         else st.sampled_from([2**63 - 1, 2**63, 10**400]))
@@ -807,7 +830,7 @@ _SEED = _ints(-2, 50)
 _SIZE = dict(m=_ints(-1, 4), n=_ints(-1, 40))
 
 _ARGVS = st.one_of(
-    _options(r=_reals(-0.5, 1.5), trials=st.integers(1000, 1500),
+    _options(r=_reals(-0.5, 1.5), trials=_ints(1000, 1500),
              seed=_SEED, format=_FORMAT).map(
         lambda opts: ["table1"] + opts),
     st.tuples(
@@ -817,10 +840,10 @@ _ARGVS = st.one_of(
                                   "--open-bit=1"]), max_size=2),
     ).map(lambda parts: ["commit"] + parts[0] + parts[1]),
     _options(strategy=st.sampled_from(sorted(cli._ATTACKS)),
-             r=_reals(-0.5, 1.5), trials=st.integers(-1, 30),
+             r=_reals(-0.5, 1.5), trials=_ints(-1, 30),
              seed=_SEED, n0=_ints(-1, 41),
              k=_ints(-1, 5), t_prime=_reals(-0.5, 1.5),
-             runs=st.integers(-1, 4), format=_FORMAT, **_SIZE).map(
+             runs=_ints(-1, 4), format=_FORMAT, **_SIZE).map(
         lambda opts: ["attack"] + opts),
     _options(r=_reals(-0.5, 1.5), target_binding=_reals(-0.5, 1.5),
              target_concealing=_reals(-0.5, 1.5),

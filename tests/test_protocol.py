@@ -42,11 +42,19 @@ def test_alice_parity_constraint(b, m, n, seed):
     assert seqs.committed_bit == b
 
 
+def _byte_bits(rng, m, n):
+    """m rows of n fair bits, unpacked most significant bit first from
+    ceil(m n / 8) uniform bytes: the draw behind both parties' sequences."""
+    random_bytes = rng.integers(0, 256, size=math.ceil(m * n / 8),
+                                dtype=np.uint8)
+    return np.unpackbits(random_bytes, count=m * n).reshape(m, n)
+
+
 @pytest.mark.parametrize("m, n", [(32768, 2), (21845, 3), (70, 130), (1, 32)])
 def test_alice_generate_parity_matches_row_reduce(m, n):
     # Short rows take their parity down the columns of a transposed copy;
     # the bits must equal those of a plain reduce along each row.
-    bits = substream(102, m, n).integers(0, 2, size=(m, n), dtype=np.uint8)
+    bits = _byte_bits(substream(102, m, n), m, n)
     bits[:, -1] = np.bitwise_xor.reduce(bits[:, :-1], axis=1) ^ 1
     seqs = protocol.alice_generate(1, m, n, substream(102, m, n))
     assert np.array_equal(seqs.bits, bits)
@@ -65,6 +73,31 @@ def test_alice_generate_uniform_over_parity_class():
     expect = draws / 2 ** (n - 1)
     tol = 4.0 * math.sqrt(expect)
     assert (np.abs(counts[odd_parity == 1] - expect) < tol).all()
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (3, 7), (5, 9), (70, 130)])
+def test_bob_generate_is_the_unpacked_byte_draw(m, n):
+    seqs = protocol.bob_generate(m, n, substream(103, m, n))
+    assert seqs.bits.dtype == np.uint8
+    assert np.array_equal(seqs.bits, _byte_bits(substream(103, m, n), m, n))
+
+
+@pytest.mark.parametrize("generate", [
+    protocol.bob_generate,
+    lambda m, n, rng: protocol.alice_generate(1, m, n, rng)])
+def test_generated_bits_are_uniform_in_every_window(generate):
+    """At n = 9 rows start at every offset within a byte. Every window of
+    4 consecutive bits in a row shows each of the 16 patterns equally often
+    (4 bits of a parity-constrained 9-bit string are uniform too)."""
+    m, n, width = 160_000, 9, 4
+    bits = generate(m, n, substream(104, 0)).bits.astype(np.intp)
+    expect = m / 2 ** width
+    sigma = math.sqrt(expect * (1 - 2 ** -width))
+    # Bonferroni over 6 offsets x 16 patterns: 96 * P(|Z| > 4.5) < 1e-3.
+    for offset in range(n - width + 1):
+        codes = bits[:, offset:offset + width] @ (1 << np.arange(width))
+        counts = np.bincount(codes, minlength=2 ** width)
+        assert (np.abs(counts - expect) < 4.5 * sigma).all(), (offset, counts)
 
 
 def test_bob_generate_shape_and_balance():
