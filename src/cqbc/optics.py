@@ -96,7 +96,7 @@ class Polarization:
 
     def __post_init__(self) -> None:
         norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ContractViolationError(f"polarization norm {norm} != 1")
 
     @property

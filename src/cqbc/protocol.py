@@ -10,6 +10,7 @@ sequences.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -46,8 +47,8 @@ class CommitmentParams:
             # n = 1 would leak the committed bit straight from the parity
             # constraint to any confirmed slot.
             raise ParameterError("n must be >= 2")
-        if self.d2_check_sigma <= 0:
-            raise ParameterError("d2_check_sigma must be positive")
+        if not 0 < self.d2_check_sigma < math.inf:
+            raise ParameterError("d2_check_sigma must be finite and positive")
 
 
 @dataclass

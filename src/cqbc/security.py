@@ -9,9 +9,8 @@ log1p/expm1 to avoid catastrophic cancellation.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -177,59 +176,32 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
 
 
 # ---------------------------------------------------------------------------
-# Concealing oracle: exact enumeration of Bob's classical view at tiny n
+# Concealing: the law of Bob's view, exact at tiny n and sampled
 # ---------------------------------------------------------------------------
+# A law is a (2, 6^n) array whose row c is the law of Bob's view of n slots
+# given committed bit c. A view's index is the base-6 number whose digit for
+# slot j (slot 1 the most significant) is 3 * Bob's bit + his click code
+# (0, 1, 2 for D0, D1, D2; no click reads as D2).
 
-def _view_distribution(n: int, b_commit: int,
-                       bs: optics.BeamSplitter) -> dict:
-    """Exact distribution of Bob's full view (his bits + per-slot click
-    record, with no-click read as a D2 event) for a given committed bit."""
-    channel = [[tuple(optics.outcome_distribution(a, b, bs).values())
-                for b in (0, 1)] for a in (0, 1)]
-    dist: dict = defaultdict(float)
-    a_weight = 1.0 / 2 ** (n - 1)
-    b_weight = 1.0 / 2 ** n
-    for b_str in itertools.product((0, 1), repeat=n):
-        for a_str in itertools.product((0, 1), repeat=n):
-            if np.bitwise_xor.reduce(a_str) != b_commit:
-                continue
-            slot_probs = [channel[a][b] for a, b in zip(a_str, b_str)]
-            for outcome in itertools.product((0, 1, 2), repeat=n):
-                prob = a_weight * b_weight
-                for j, o in enumerate(outcome):
-                    prob *= slot_probs[j][o]
-                if prob > 0.0:
-                    dist[(b_str, outcome)] += prob
-    return dist
+def _view_law(n: int, bs: optics.BeamSplitter) -> np.ndarray:
+    """Exact law, by enumerating every (Alice string, Bob string, click
+    record); exact rationals for a mirror with Fraction coefficients."""
+    channel = np.array([[prob for b in (0, 1) for prob in
+                         optics.outcome_distribution(a, b, bs).values()]
+                        for a in (0, 1)])  # [a, 3b + click]
+    # The n-fold outer product with Alice's axes first, flattened: row
+    # Alice's string, column the view, slot 1 most significant in both.
+    table = functools.reduce(np.kron, [channel] * n)
+    parity = np.array([bin(a_str).count("1") % 2 for a_str in range(2 ** n)])
+    # 1/2^(n-1) for each Alice string of the parity, 1/2^n for Bob's.
+    return np.stack([table[parity == c].sum(axis=0)
+                     for c in (0, 1)]) / 2 ** (2 * n - 1)
 
 
-def concealing_oracle_bruteforce(
-    n: int,
-    bs: Optional[optics.BeamSplitter] = None,
-) -> float:
-    """Exact total-variation distance between Bob's view distributions
-    conditioned on the two commitment values, by full enumeration."""
-    if not 2 <= n <= 4:
-        raise ParameterError("brute-force oracle supports 2 <= n <= 4 only")
-    bs = bs or optics.BeamSplitter.balanced()
-    d0 = _view_distribution(n, 0, bs)
-    d1 = _view_distribution(n, 1, bs)
-    keys = set(d0) | set(d1)
-    return 0.5 * sum(abs(d0.get(k, 0.0) - d1.get(k, 0.0)) for k in keys)
-
-
-def concealing_tv_monte_carlo(
-    n: int,
-    bs: optics.BeamSplitter,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of the oracle's TV distance from sampled
-    transcripts (`samples` per commitment value). The view table holds
-    2 * 6^n int64 counts, so n is capped at 8 (27 MB)."""
-    if n > 8:
-        raise ParameterError("view space too large for bucketed estimation")
-    n_views = 6 ** n  # (b_bit, outcome) in {0,1} x {0,1,2} per slot
+def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Frequencies of the views in `samples` transcripts per committed bit."""
+    n_views = 6 ** n
     counts = np.zeros((2, n_views), dtype=np.int64)
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
@@ -237,14 +209,38 @@ def concealing_tv_monte_carlo(
             b_bits = protocol.bob_generate(chunk, n, rng).bits
             det = optics.sample_detectors(bits == b_bits, bs, rng)
             slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
-            # The view's index: its slot codes as base-6 digits.
             views = np.zeros(chunk, dtype=np.intp)
             for column in slot_codes.T:
                 views *= 6
                 views += column
             counts[b_commit] += np.bincount(views, minlength=n_views)
-    freq = counts / samples
-    return 0.5 * float(np.abs(freq[0] - freq[1]).sum())
+    return counts / samples
+
+
+def _tv(law: np.ndarray) -> float:
+    """Total-variation distance between the two rows of a view law."""
+    return 0.5 * float(np.abs(law[0] - law[1]).sum())
+
+
+def concealing_oracle_bruteforce(
+        n: int, bs: Optional[optics.BeamSplitter] = None) -> float:
+    """Exact total-variation distance between Bob's view distributions
+    conditioned on the two commitment values, by full enumeration."""
+    if not 2 <= n <= 4:
+        raise ParameterError("brute-force oracle supports 2 <= n <= 4 only")
+    return _tv(_view_law(n, bs or optics.BeamSplitter.balanced()))
+
+
+def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
+                              rng: np.random.Generator) -> float:
+    """Monte Carlo estimate of the oracle's TV distance from sampled
+    transcripts (`samples` per commitment value). The count table alone
+    holds 2 * 6^n int64 counts, 27 MB at n = 8, so n is capped there; with
+    the frequencies and their difference a traced n = 8 call peaks at 55 MB."""
+    if not (2 <= n <= 8 and samples >= 1):
+        raise ParameterError(f"need 2 <= n <= 8 and samples >= 1, got n={n}, "
+                             f"samples={samples}")
+    return _tv(_sampled_view_law(n, bs, samples, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ def test_beamsplitter_rejects_unphysical_parameters():
 
 
 def test_polarization_must_be_normalized():
-    with pytest.raises(ContractViolationError):
-        optics.Polarization(1.0, 1.0)
+    for c_h, c_v in ((1.0, 1.0), (math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ContractViolationError):
+            optics.Polarization(c_h, c_v)
 
 
 def test_honest_polarizations():

@@ -29,8 +29,10 @@ def test_params_validation():
         protocol.CommitmentParams(m=0, n=16)
     with pytest.raises(ParameterError):
         protocol.CommitmentParams(m=3, n=1)
-    with pytest.raises(ParameterError):
-        protocol.CommitmentParams(m=3, n=16, d2_check_sigma=0.0)
+    # A NaN or infinite window width would make every check fail or pass.
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            protocol.CommitmentParams(m=3, n=16, d2_check_sigma=sigma)
 
 
 @given(b=st.integers(0, 1), m=st.integers(1, 8), n=st.integers(2, 24),

@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,53 @@ def test_oracle_monte_carlo_agreement():
     exact = security.concealing_oracle_bruteforce(2)
     est = security.concealing_tv_monte_carlo(2, BALANCED, 200_000, rng)
     assert est == pytest.approx(exact, abs=5e-3)
+
+
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.83])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_oracle_equals_closed_form(n, r):
+    # Bob's likelihood ratio for the parity is +-rho^K, so TV = (1 - r^2)^n.
+    bs = optics.BeamSplitter(r, 1 - r)
+    tv = security.concealing_oracle_bruteforce(n, bs)
+    assert tv == pytest.approx((1 - r * r) ** n, abs=1e-12)
+
+
+def test_view_law_is_exact_for_a_fraction_mirror():
+    half = Fraction(1, 2)
+    law = security._view_law(3, optics.BeamSplitter(half, half))
+    assert law.shape == (2, 6 ** 3)
+    assert all(isinstance(prob, Fraction) for prob in law.flat)
+    assert law.sum(axis=1).tolist() == [1, 1]
+    assert abs(law[0] - law[1]).sum() / 2 == Fraction(27, 64)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_view_law_matches_exact_view_law(n, r):
+    # Both laws index a view the same way, so they agree view by view.
+    bs = optics.BeamSplitter(r, 1 - r)
+    samples = 200_000
+    exact = security._view_law(n, bs)
+    freq = security._sampled_view_law(n, bs, samples,
+                                      substream(62, n, int(10 * r)))
+    assert freq.shape == exact.shape
+    possible = exact > 0
+    # Only matched bits click D1 or D2: a view without a D0 click reveals
+    # Alice's whole string, so the other committed bit cannot give it.
+    assert not possible.all()
+    assert (freq[~possible] == 0).all()
+    p = exact[possible]
+    z = (freq[possible] - p) / np.sqrt(p * (1 - p) / samples)
+    assert np.abs(z).max() <= 5
+
+
+@pytest.mark.parametrize("n, samples", [(2, 0), (2, -5), (0, 10), (1, 10)])
+def test_tv_monte_carlo_refuses_bad_inputs_before_any_draw(n, samples):
+    rng = substream(63, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError):
+        security.concealing_tv_monte_carlo(n, BALANCED, samples, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_tv_monte_carlo_refuses_large_view_space_before_allocating():
