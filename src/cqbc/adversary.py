@@ -315,11 +315,9 @@ def alice_optimal_alter(
     slots where Alice's D2 stayed silent (the slots she cannot tell Bob
     confirmed). The claimed D2 record is reported truthfully.
     """
-    if transcript.alice.committed_bit is None:
-        raise ParameterError("transcript has no committed bit")
-    if target_bit == transcript.alice.committed_bit:
+    if target_bit == transcript.committed_bit:
         raise ParameterError("target bit equals the committed bit")
-    claimed = transcript.alice.bits.copy()
+    claimed = transcript.alice_bits.copy()
     for i in range(transcript.params.m):
         unknown = np.flatnonzero(transcript.detectors[i] != 2)
         if unknown.size == 0:
@@ -408,13 +406,12 @@ def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
     check_draws(runs * m)
-    lo, hi = protocol.d2_window(params)
     detected = 0
     seq_failures = 0
     d2_clicks = 0
     for chunk in _chunks(runs, m):
         counts = rng.binomial(n, d2_rate, (chunk, m))
-        bad = (counts < lo) | (counts > hi)
+        bad = ~protocol.alice_check_d2(counts, params)
         seq_failures += int(np.count_nonzero(bad))
         detected += int(np.count_nonzero(bad.any(axis=1)))
         d2_clicks += int(counts.sum())

@@ -138,11 +138,15 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
         opening.claimed_bit = args.open_bit
     verdict = protocol.bob_verify_opening(transcript, opening)
     if args.transcript:
-        transcript.to_csv(args.transcript)
+        with open(args.transcript, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(protocol.SLOT_ROW_HEADER)
+            # Streamed, never listed: a transcript may hold 2^22 rows.
+            writer.writerows(transcript.slot_rows())
     results = {
         "summary": transcript.summary(),
         "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},
-        "committed_bit": int(transcript.alice.committed_bit),
+        "committed_bit": int(transcript.committed_bit),
     }
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 
@@ -155,11 +159,14 @@ def _attack_alice_alter(adversary, args, params, rng) -> dict:
     flip: it is counted apart and not graded."""
     if args.trials < 1:
         raise ParameterError("alice-alter needs --trials >= 1")
+    import dataclasses
+
     from . import security
     # A degenerate mirror has no analytic value; refuse it before sampling.
     analytic_seq, _ = security._floats(security.comparison_probs(params.bs))
-    report = adversary.alice_intercept(0, params, rng,
-                                       alter_trials=args.trials)
+    # One sequence: m only composes the result below.
+    report = adversary.alice_intercept(0, dataclasses.replace(params, m=1),
+                                       rng, alter_trials=args.trials)
     per_seq = report.p_alter_empirical
     return {
         "per_sequence_success": {"empirical": per_seq,

@@ -9,7 +9,6 @@ sequences.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -51,14 +50,6 @@ class CommitmentParams:
             raise ParameterError("d2_check_sigma must be finite and positive")
 
 
-@dataclass
-class BitSequenceSet:
-    """m sequences of n bits belonging to one party."""
-
-    bits: np.ndarray  # (m, n) uint8
-    committed_bit: Optional[int] = None
-
-
 def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """An (m, n) uint8 array of i.i.d. fair bits, eight from each uniform
     random byte: a per-bit bounded draw costs several times as much. The
@@ -70,7 +61,7 @@ def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def alice_generate(b: int, m: int, n: int,
-                   rng: np.random.Generator) -> BitSequenceSet:
+                   rng: np.random.Generator) -> np.ndarray:
     """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
     if n < 2:
         raise ParameterError("n must be >= 2")
@@ -81,12 +72,12 @@ def alice_generate(b: int, m: int, n: int,
     parity = (np.bitwise_xor.reduce(np.ascontiguousarray(prefix.T), axis=0)
               if n <= 32 else np.bitwise_xor.reduce(prefix, axis=1))
     bits[:, -1] = parity ^ (b & 1)
-    return BitSequenceSet(bits, committed_bit=b & 1)
+    return bits
 
 
-def bob_generate(m: int, n: int, rng: np.random.Generator) -> BitSequenceSet:
+def bob_generate(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform i.i.d. comparison bits."""
-    return BitSequenceSet(_fair_bits(m, n, rng))
+    return _fair_bits(m, n, rng)
 
 
 @dataclass
@@ -107,22 +98,36 @@ class VerifyResult:
         return self.accepted
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommitmentTranscript:
-    """Full per-slot record of one commit-phase execution.
+    """What one commit phase sampled; every verdict is derived from it.
 
+    alice_bits and bob_bits are the parties' (m, n) uint8 sequences, and
     detectors holds the one click of each slot as an (m, n) int8 code, as
     optics.sample_detectors returns it: 0 for D0 and 1 for D1 (Bob's
     detectors), 2 for D2 (Alice's; Bob sees no click by the deadline).
     """
 
     params: CommitmentParams
-    alice: BitSequenceSet
-    bob: BitSequenceSet
+    committed_bit: int
+    alice_bits: np.ndarray
+    bob_bits: np.ndarray
     detectors: np.ndarray
-    phase: str
-    d2_counts: np.ndarray   # (m,) per-sequence count of slots with a D2 click
-    d2_pass: np.ndarray     # (m,) bool
+
+    @property
+    def d2_counts(self) -> np.ndarray:
+        """(m,) per-sequence count of slots with a D2 click."""
+        return (self.detectors == 2).sum(axis=1)
+
+    @property
+    def d2_pass(self) -> np.ndarray:
+        """(m,) bool verdicts of Alice's D2-rate check."""
+        return alice_check_d2(self.d2_counts, self.params)
+
+    @property
+    def phase(self) -> str:
+        """Committed, or aborted when any sequence fails the check."""
+        return PHASE_COMMITTED if self.d2_pass.all() else PHASE_ABORTED
 
     def d2_inferred(self) -> np.ndarray:
         """Bob's inference: no click by the return deadline means D2 fired."""
@@ -134,8 +139,8 @@ class CommitmentTranscript:
 
     def honest_opening(self) -> OpeningMessage:
         return OpeningMessage(
-            claimed_bit=int(self.alice.committed_bit),
-            claimed_bits=self.alice.bits.copy(),
+            claimed_bit=int(self.committed_bit),
+            claimed_bits=self.alice_bits.copy(),
             claimed_d2=self.d2_inferred(),
         )
 
@@ -143,22 +148,15 @@ class CommitmentTranscript:
         """Yield one record per slot, in SLOT_ROW_HEADER order."""
         for i in range(self.params.m):
             for j in range(self.params.n):
-                a_bit = int(self.alice.bits[i, j])
+                a_bit = int(self.alice_bits[i, j])
                 code = int(self.detectors[i, j])
                 if code == 2:
                     time_bin = (optics.TIME_BIN_LOOP if a_bit
                                 else optics.TIME_BIN_DIRECT)
                 else:
                     time_bin = optics.TIME_BIN_RETURN
-                yield [i, j, a_bit, int(self.bob.bits[i, j]), f"D{code}",
+                yield [i, j, a_bit, int(self.bob_bits[i, j]), f"D{code}",
                        time_bin]
-
-    def to_csv(self, path) -> None:
-        """Line-delimited slot records: i, j, a, b, detector, time_bin."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SLOT_ROW_HEADER)
-            writer.writerows(self.slot_rows())
 
     def summary(self) -> dict:
         m, n = self.params.m, self.params.n
@@ -180,17 +178,17 @@ class CommitmentTranscript:
         }
 
 
-def alice_check_d2(transcript: CommitmentTranscript,
+def alice_check_d2(d2_counts: np.ndarray,
                    params: CommitmentParams) -> np.ndarray:
-    """Per-sequence D2-rate check.
+    """Alice's per-sequence D2-rate check, a function of the D2 counts alone.
 
-    A sequence passes iff its count of D2-click slots sits inside the
-    +/- sigma-multiple binomial window of d2_window. Returns the (m,) bool
-    pass vector; the protocol aborts if any entry is False.
+    A sequence passes iff its count of D2-click slots lies in the closed
+    window of d2_window (a count on an edge passes). Takes counts of any
+    shape and returns the bool verdicts in that shape; the protocol aborts
+    if any sequence fails.
     """
     lo, hi = d2_window(params)
-    counts = transcript.d2_counts
-    return (counts >= lo) & (counts <= hi)
+    return (d2_counts >= lo) & (d2_counts <= hi)
 
 
 def d2_window(params: CommitmentParams) -> tuple[float, float]:
@@ -210,9 +208,11 @@ def run_commit_phase(
     params: CommitmentParams,
     b: Optional[int] = None,
 ) -> CommitmentTranscript:
-    """Execute the honest commit phase and Alice's D2-rate check.
+    """Execute the honest commit phase and return its transcript.
 
-    Whole sequences are sampled at once from the closed-form per-slot
+    The transcript holds the committed bit, both parties' bits and the
+    clicks; Alice's D2 counts, her check and the phase are derived from
+    them. Whole sequences are sampled at once from the closed-form per-slot
     detector distribution; the amplitude-level `optics.run_slot` has the
     same marginal (asserted by the Monte Carlo agreement tests) but costs
     one Python call and up to one uniform per slot, too slow for the large
@@ -222,25 +222,14 @@ def run_commit_phase(
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))
-    alice = alice_generate(b, params.m, params.n, bits_rng)
-    bob = bob_generate(params.m, params.n, bits_rng)
+    alice_bits = alice_generate(b, params.m, params.n, bits_rng)
+    bob_bits = bob_generate(params.m, params.n, bits_rng)
 
     slot_rng = substream(params.master_seed, _STREAM_SLOTS)
-    det = optics.sample_detectors(alice.bits == bob.bits, params.bs, slot_rng)
-
-    transcript = CommitmentTranscript(
-        params=params,
-        alice=alice,
-        bob=bob,
-        detectors=det,
-        phase=PHASE_COMMITTED,
-        d2_counts=(det == 2).sum(axis=1),
-        d2_pass=np.ones(params.m, dtype=bool),
-    )
-    transcript.d2_pass = alice_check_d2(transcript, params)
-    if not transcript.d2_pass.all():
-        transcript.phase = PHASE_ABORTED
-    return transcript
+    detectors = optics.sample_detectors(alice_bits == bob_bits, params.bs,
+                                        slot_rng)
+    return CommitmentTranscript(params, b & 1, alice_bits, bob_bits,
+                                detectors)
 
 
 def bob_verify_opening(
@@ -266,7 +255,7 @@ def bob_verify_opening(
 
     confirmed = transcript.bob_confirmed()
     if not np.array_equal(
-        opening.claimed_bits[confirmed], transcript.bob.bits[confirmed]
+        opening.claimed_bits[confirmed], transcript.bob_bits[confirmed]
     ):
         return VerifyResult(False, "confirmed-slot-mismatch")
 

@@ -205,8 +205,8 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
     counts = np.zeros((2, n_views), dtype=np.int64)
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
-            bits = protocol.alice_generate(b_commit, chunk, n, rng).bits
-            b_bits = protocol.bob_generate(chunk, n, rng).bits
+            bits = protocol.alice_generate(b_commit, chunk, n, rng)
+            b_bits = protocol.bob_generate(chunk, n, rng)
             det = optics.sample_detectors(bits == b_bits, bs, rng)
             slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
             views = np.zeros(chunk, dtype=np.intp)

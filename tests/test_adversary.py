@@ -400,7 +400,7 @@ def test_optimal_alter_parity_and_single_flip():
     t = protocol.run_commit_phase(p, b=0)
     opening = adversary.alice_optimal_alter(t, 1, substream(41, 0))
     assert opening.claimed_bit == 1
-    diffs = opening.claimed_bits ^ t.alice.bits
+    diffs = opening.claimed_bits ^ t.alice_bits
     assert (diffs.sum(axis=1) == 1).all()
     parities = np.bitwise_xor.reduce(opening.claimed_bits, axis=1)
     assert (parities == 1).all()
@@ -553,6 +553,25 @@ def test_bob_illegal_bs_honest_t_rarely_flagged():
     p = protocol.CommitmentParams(m=1, n=130)
     report = adversary.bob_illegal_bs(0.5, p, substream(46, 0), runs=2000)
     assert report.extras["per_sequence_failure_rate"] < 1e-3
+
+
+def test_d2_trip_rate_at_integer_window_edges():
+    # At the agreed r = 0, n = 16 and sigma = 1 give the window [6, 10]
+    # exactly. Counts on its edges pass, so a sequence of fair D2 slots
+    # trips with 1 - sum_{k=6..10} C(16, k) / 2^16; open edges would give
+    # 0.4545.
+    p = protocol.CommitmentParams(m=1, n=16, bs=optics.BeamSplitter(0.0, 1.0),
+                                  d2_check_sigma=1.0)
+    exact = 1 - sum(math.comb(16, k) for k in range(6, 11)) / 2**16
+    assert round(exact, 5) == 0.21011
+    assert adversary.d2_detection_probability(0.5, p) == pytest.approx(
+        exact, rel=0.0, abs=1e-12)
+    runs = 20_000
+    report = adversary.bob_illegal_bs(0.999999, p, substream(48, 0), runs=runs)
+    analytic = report.detection_probability_analytic
+    sigma = math.sqrt(analytic * (1 - analytic) / runs)
+    assert abs(report.extras["per_sequence_failure_rate"] - analytic) < (
+        4 * sigma)
 
 
 def test_bob_illegal_bs_validates_t_prime():

@@ -179,6 +179,21 @@ def test_attack_alter_grades_only_flippable_trials(capsys, r, trials):
     assert abs(per_seq["empirical"] - p) < 4.0 * sigma
 
 
+def test_attack_alter_samples_one_sequence(capsys):
+    # m only composes the per-sequence estimate. The attack used to draw
+    # click totals for all m sequences first: at --n 32, 10^4 trials and
+    # seed 1 the estimate read 0.8287 at --m 1 and 0.8348 at --m 70, and
+    # --m 2**62 exited 2 over those totals.
+    runs = [run_json(capsys, "attack", "--strategy", "alice-alter",
+                     "--m", m, "--n", "32", "--trials", "2000",
+                     "--seed", "12")["results"] for m in ("1", "70")]
+    for key in ("per_sequence_success", "trials_without_flippable_slot"):
+        assert runs[0][key] == runs[1][key]
+    res = run_json(capsys, "attack", "--strategy", "alice-alter",
+                   "--m", str(2**62), "--n", "2", "--trials", "100")["results"]
+    assert res["protocol_success_m_sequences"]["m"] == 2**62
+
+
 def test_attack_alter_without_gradable_trial_is_usage_error(capsys):
     # At r = 0.05 both slots of this seed's one trial click D2, which
     # happens with probability (t/2)^2 = 0.23.
@@ -213,7 +228,7 @@ def _protocol_alter(n, r, trials):
     for seed in range(trials):
         transcript = protocol.run_commit_phase(protocol.CommitmentParams(
             m=1, n=n, bs=bs, master_seed=seed))
-        target = 1 - transcript.alice.committed_bit
+        target = 1 - transcript.committed_bit
         try:
             opening = adversary.alice_optimal_alter(transcript, target, rng)
         except AttackImpossibleError:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqbc import optics, protocol
+from cqbc import cli, optics, protocol
 from cqbc.errors import ParameterError
 from cqbc.rng import substream
 
@@ -38,10 +38,9 @@ def test_params_validation():
 @given(b=st.integers(0, 1), m=st.integers(1, 8), n=st.integers(2, 24),
        seed=st.integers(0, 1000))
 def test_alice_parity_constraint(b, m, n, seed):
-    seqs = protocol.alice_generate(b, m, n, substream(seed, 0))
-    assert seqs.bits.shape == (m, n)
-    assert (np.bitwise_xor.reduce(seqs.bits, axis=1) == b).all()
-    assert seqs.committed_bit == b
+    bits = protocol.alice_generate(b, m, n, substream(seed, 0))
+    assert bits.shape == (m, n)
+    assert (np.bitwise_xor.reduce(bits, axis=1) == b).all()
 
 
 def _byte_bits(rng, m, n):
@@ -58,8 +57,8 @@ def test_alice_generate_parity_matches_row_reduce(m, n):
     # the bits must equal those of a plain reduce along each row.
     bits = _byte_bits(substream(102, m, n), m, n)
     bits[:, -1] = np.bitwise_xor.reduce(bits[:, :-1], axis=1) ^ 1
-    seqs = protocol.alice_generate(1, m, n, substream(102, m, n))
-    assert np.array_equal(seqs.bits, bits)
+    assert np.array_equal(protocol.alice_generate(1, m, n,
+                                                  substream(102, m, n)), bits)
 
 
 def test_alice_generate_uniform_over_parity_class():
@@ -67,8 +66,8 @@ def test_alice_generate_uniform_over_parity_class():
     appears with near-equal frequency, and no wrong-parity string appears."""
     n = 4
     draws = 40000
-    seqs = protocol.alice_generate(1, draws, n, substream(100, 0))
-    codes = seqs.bits @ (1 << np.arange(n))
+    bits = protocol.alice_generate(1, draws, n, substream(100, 0))
+    codes = bits @ (1 << np.arange(n))
     counts = np.bincount(codes, minlength=2 ** n)
     odd_parity = np.array([bin(c).count("1") % 2 for c in range(2 ** n)])
     assert (counts[odd_parity == 0] == 0).all()
@@ -79,9 +78,9 @@ def test_alice_generate_uniform_over_parity_class():
 
 @pytest.mark.parametrize("m, n", [(1, 2), (3, 7), (5, 9), (70, 130)])
 def test_bob_generate_is_the_unpacked_byte_draw(m, n):
-    seqs = protocol.bob_generate(m, n, substream(103, m, n))
-    assert seqs.bits.dtype == np.uint8
-    assert np.array_equal(seqs.bits, _byte_bits(substream(103, m, n), m, n))
+    bits = protocol.bob_generate(m, n, substream(103, m, n))
+    assert bits.dtype == np.uint8
+    assert np.array_equal(bits, _byte_bits(substream(103, m, n), m, n))
 
 
 @pytest.mark.parametrize("generate", [
@@ -92,7 +91,7 @@ def test_generated_bits_are_uniform_in_every_window(generate):
     4 consecutive bits in a row shows each of the 16 patterns equally often
     (4 bits of a parity-constrained 9-bit string are uniform too)."""
     m, n, width = 160_000, 9, 4
-    bits = generate(m, n, substream(104, 0)).bits.astype(np.intp)
+    bits = generate(m, n, substream(104, 0)).astype(np.intp)
     expect = m / 2 ** width
     sigma = math.sqrt(expect * (1 - 2 ** -width))
     # Bonferroni over 6 offsets x 16 patterns: 96 * P(|Z| > 4.5) < 1e-3.
@@ -103,10 +102,9 @@ def test_generated_bits_are_uniform_in_every_window(generate):
 
 
 def test_bob_generate_shape_and_balance():
-    seqs = protocol.bob_generate(100, 50, substream(101, 0))
-    assert seqs.bits.shape == (100, 50)
-    assert abs(seqs.bits.mean() - 0.5) < 4.0 * math.sqrt(0.25 / 5000)
-    assert seqs.committed_bit is None
+    bits = protocol.bob_generate(100, 50, substream(101, 0))
+    assert bits.shape == (100, 50)
+    assert abs(bits.mean() - 0.5) < 4.0 * math.sqrt(0.25 / 5000)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +115,8 @@ def test_commit_phase_is_deterministic_given_seed():
     params = make_params(master_seed=7)
     t1 = protocol.run_commit_phase(params, b=1)
     t2 = protocol.run_commit_phase(params, b=1)
-    assert np.array_equal(t1.alice.bits, t2.alice.bits)
-    assert np.array_equal(t1.bob.bits, t2.bob.bits)
+    assert np.array_equal(t1.alice_bits, t2.alice_bits)
+    assert np.array_equal(t1.bob_bits, t2.bob_bits)
     assert np.array_equal(t1.detectors, t2.detectors)
 
 
@@ -141,11 +139,26 @@ def test_d2_check_window_and_abort():
     lo, hi = protocol.d2_window(params)
     assert lo == pytest.approx(4 - 4 * math.sqrt(3), abs=1e-9)
     assert hi == pytest.approx(4 + 4 * math.sqrt(3), abs=1e-9)
-    # force a sequence outside the window and re-run the check
+    assert t.phase == protocol.PHASE_COMMITTED
+    # Force a sequence outside the window through its clicks alone: the
+    # counts, the check, the phase and the opening verdict all follow.
     t.detectors[0, :] = 2
-    t.d2_counts[0] = params.n
-    assert not protocol.alice_check_d2(t, params)[0]
-    assert protocol.alice_check_d2(t, params)[1]
+    assert not protocol.alice_check_d2(t.d2_counts, params)[0]
+    assert protocol.alice_check_d2(t.d2_counts, params)[1]
+    assert t.phase == protocol.PHASE_ABORTED
+    assert t.summary()["d2_check"]["passed"][0] is False
+    verdict = protocol.bob_verify_opening(t, t.honest_opening())
+    assert verdict.reason == "aborted"
+
+
+def test_d2_window_edges_are_inclusive():
+    # At the agreed r = 0 an honest slot clicks D2 with p = 1/2, so n = 16
+    # and sigma = 1 give the window 8 -/+ 2, both edges on integers.
+    params = protocol.CommitmentParams(m=1, n=16, bs=optics.BeamSplitter(
+        0.0, 1.0), d2_check_sigma=1.0)
+    assert protocol.d2_window(params) == (6.0, 10.0)
+    passed = protocol.alice_check_d2(np.arange(17), params)
+    assert np.flatnonzero(passed).tolist() == [6, 7, 8, 9, 10]
 
 
 def test_fully_transmitting_mirror_forces_abort():
@@ -154,7 +167,7 @@ def test_fully_transmitting_mirror_forces_abort():
     agreed = protocol.CommitmentParams(m=2, n=64, master_seed=10)
     swapped = dataclasses.replace(agreed, bs=optics.BeamSplitter(0.0, 1.0))
     t = protocol.run_commit_phase(swapped, b=0)
-    assert not protocol.alice_check_d2(t, agreed).all()
+    assert not protocol.alice_check_d2(t.d2_counts, agreed).all()
     # A failed check aborts the commit, which then opens to nothing.
     narrow = dataclasses.replace(agreed, d2_check_sigma=1e-3)
     t = protocol.run_commit_phase(narrow, b=0)
@@ -273,9 +286,10 @@ def test_transcript_summary_fields():
 
 
 def test_transcript_csv(tmp_path):
-    t = committed_transcript(seed=17, m=2, n=8)
     path = tmp_path / "transcript.csv"
-    t.to_csv(path)
+    assert cli.main(["commit", "--m", "2", "--n", "8", "--bit", "0",
+                     "--seed", "17", "--out", str(tmp_path / "report.json"),
+                     "--transcript", str(path)]) == cli.EXIT_OK
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "i,j,a,b,detector,time_bin"
     assert len(lines) == 1 + 2 * 8
