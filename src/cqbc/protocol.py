@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,6 +24,7 @@ PHASE_COMMITTED = "committed"
 PHASE_ABORTED = "aborted"
 
 SLOT_ROW_HEADER = ("i", "j", "a", "b", "detector", "time_bin")
+_DETECTOR_LABELS = ("D0", "D1", "D2")   # by detector code
 
 # Substream tags (first path element after the master seed).
 _STREAM_BITS = 0
@@ -144,19 +146,19 @@ class CommitmentTranscript:
             claimed_d2=self.d2_inferred(),
         )
 
-    def slot_rows(self) -> Iterator[list]:
-        """Yield one record per slot, in SLOT_ROW_HEADER order."""
-        for i in range(self.params.m):
-            for j in range(self.params.n):
-                a_bit = int(self.alice_bits[i, j])
-                code = int(self.detectors[i, j])
-                if code == 2:
-                    time_bin = (optics.TIME_BIN_LOOP if a_bit
-                                else optics.TIME_BIN_DIRECT)
-                else:
-                    time_bin = optics.TIME_BIN_RETURN
-                yield [i, j, a_bit, int(self.bob_bits[i, j]), f"D{code}",
-                       time_bin]
+    def slot_rows(self) -> Iterator[tuple]:
+        """Yield one record per slot, in SLOT_ROW_HEADER order. A D2 click
+        comes back in Alice's time bin, direct for a = 0 and loop for
+        a = 1 (bins 0 and 1, so the bin is her bit); a D0 or D1 click in
+        the return bin. Rows are built one sequence at a time."""
+        time_bins = np.where(self.detectors == 2, self.alice_bits,
+                             optics.TIME_BIN_RETURN)
+        slots = range(self.params.n)
+        for i, (a, b, codes, bins) in enumerate(zip(
+                self.alice_bits, self.bob_bits, self.detectors, time_bins)):
+            labels = map(_DETECTOR_LABELS.__getitem__, codes.tolist())
+            yield from zip(repeat(i), slots, a.tolist(), b.tolist(), labels,
+                           bins.tolist())
 
     def summary(self) -> dict:
         m, n = self.params.m, self.params.n

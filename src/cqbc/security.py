@@ -202,6 +202,11 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Frequencies of the views in `samples` transcripts per committed bit."""
     n_views = 6 ** n
+    # The narrowest unsigned type that holds every index: uint8 up to
+    # n = 3, uint16 up to 6, uint32 beyond. Every partial index is below
+    # 6^n too, so the loop never wraps, and the smaller temporaries make
+    # it faster than an intp one.
+    index_type = np.min_scalar_type(n_views - 1)
     counts = np.zeros((2, n_views), dtype=np.int64)
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
@@ -209,7 +214,7 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
             b_bits = protocol.bob_generate(chunk, n, rng)
             det = optics.sample_detectors(bits == b_bits, bs, rng)
             slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
-            views = np.zeros(chunk, dtype=np.intp)
+            views = np.zeros(chunk, dtype=index_type)
             for column in slot_codes.T:
                 views *= 6
                 views += column
@@ -234,9 +239,11 @@ def concealing_oracle_bruteforce(
 def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
                               rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the oracle's TV distance from sampled
-    transcripts (`samples` per commitment value). The count table alone
-    holds 2 * 6^n int64 counts, 27 MB at n = 8, so n is capped there; with
-    the frequencies and their difference a traced n = 8 call peaks at 55 MB."""
+    transcripts (`samples` per commitment value). Each chunk's views are
+    indexed in the narrowest unsigned type that holds 6^n - 1 (uint8 up
+    to n = 3) before they are counted. The count table alone holds
+    2 * 6^n int64 counts, 27 MB at n = 8, so n is capped there; with the
+    frequencies and their difference a traced n = 8 call peaks at 55 MB."""
     if not (2 <= n <= 8 and samples >= 1):
         raise ParameterError(f"need 2 <= n <= 8 and samples >= 1, got n={n}, "
                              f"samples={samples}")

@@ -285,6 +285,27 @@ def test_transcript_summary_fields():
     assert json.loads(json.dumps(t.summary(), sort_keys=True)) == s
 
 
+def test_slot_rows_follow_the_per_row_rule():
+    # Every click code under both of Alice's bits. A D2 click comes back
+    # in her time bin (direct for a = 0, loop for a = 1); a D0 or D1 click
+    # in the return bin.
+    alice = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.uint8)
+    bob = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.uint8)
+    detectors = np.array([[2, 2, 0, 0], [1, 1, 0, 0]], dtype=np.int8)
+    t = protocol.CommitmentTranscript(make_params(m=2, n=4), 0, alice, bob,
+                                      detectors)
+    expected = []
+    for i in range(2):
+        for j in range(4):
+            a, b, code = int(alice[i, j]), int(bob[i, j]), int(detectors[i, j])
+            if code == 2:
+                time_bin = optics.TIME_BIN_LOOP if a else optics.TIME_BIN_DIRECT
+            else:
+                time_bin = optics.TIME_BIN_RETURN
+            expected.append([i, j, a, b, f"D{code}", time_bin])
+    assert [list(row) for row in t.slot_rows()] == expected
+
+
 def test_transcript_csv(tmp_path):
     path = tmp_path / "transcript.csv"
     assert cli.main(["commit", "--m", "2", "--n", "8", "--bit", "0",

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqbc import optics, security
+from cqbc import optics, protocol, security
 from cqbc.errors import InfeasibleTargetError, ParameterError
-from cqbc.rng import substream
+from cqbc.rng import _chunks, substream
 
 BALANCED = optics.BeamSplitter.balanced()
 
@@ -288,6 +288,27 @@ def test_sampled_view_law_matches_exact_view_law(n, r):
     p = exact[possible]
     z = (freq[possible] - p) / np.sqrt(p * (1 - p) / samples)
     assert np.abs(z).max() <= 5
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7, 8])
+def test_sampled_view_law_equals_an_intp_recount(n):
+    # The view index narrows to uint8 up to n = 3, uint16 up to 6 and
+    # uint32 beyond: a recount of the same draws with an intp index, summed
+    # digit by digit, shows any wrap-around at either side of a boundary.
+    samples = 50_000   # several chunks at every n
+    law = security._sampled_view_law(n, BALANCED, samples, substream(64, n))
+    rng = substream(64, n)
+    place_values = 6 ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    counts = np.zeros((2, 6 ** n), dtype=np.int64)
+    for b_commit in (0, 1):
+        for chunk in _chunks(samples, n):
+            bits = protocol.alice_generate(b_commit, chunk, n, rng)
+            b_bits = protocol.bob_generate(chunk, n, rng)
+            det = optics.sample_detectors(bits == b_bits, BALANCED, rng)
+            digits = 3 * b_bits.astype(np.intp) + det
+            counts[b_commit] += np.bincount(digits @ place_values,
+                                            minlength=6 ** n)
+    assert np.array_equal(law, counts / samples)
 
 
 @pytest.mark.parametrize("n, samples", [(2, 0), (2, -5), (0, 10), (1, 10)])
