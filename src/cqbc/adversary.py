@@ -335,64 +335,6 @@ def alice_optimal_alter(
 # Bob's attacks, each graded against Alice's D2-rate check
 # ---------------------------------------------------------------------------
 
-def d2_detection_probability(
-    p_slot: float,
-    params: protocol.CommitmentParams,
-) -> float:
-    """Probability that the D2-rate check trips when each slot clicks D2
-    with probability p_slot (exact binomial, across all m sequences).
-
-    A sequence fails with the binomial mass outside the window: with the
-    mean inside it, each tail summed in log space outward from the window
-    until its terms stop adding (so a small tail keeps its relative
-    precision), else the window's complement, at least about 1/2.
-    """
-    if not 0.0 <= p_slot <= 1.0:
-        raise ParameterError("p_slot must lie in [0, 1]")
-    fail = _sequence_fail(p_slot, params.n, *protocol.d2_window(params))
-    if fail >= 1.0:
-        return 1.0
-    return -math.expm1(params.m * math.log1p(-fail))
-
-
-@functools.lru_cache(maxsize=256)
-def _sequence_fail(p_slot: float, n: int, lo: float, hi: float) -> float:
-    """Binomial(n, p_slot) mass outside [lo, hi]: one sequence's chance to
-    trip the check.
-
-    Each report calls this once; the cache pays off across reports. Every
-    slice of the benchmark's mc_large workload grades the same three
-    (rate, window) pairs, and at n = 130 an uncached call takes 0.07 to
-    0.09 ms (timeit on 2 CPUs, Python 3.11, numpy 2.4).
-    """
-    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
-    if lo <= n * p_slot <= hi:
-        return (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)
-                + _tail_mass(range(window.stop, n + 1), n, p_slot))
-    return 1.0 - math.fsum(_binomial_pmf(k, n, p_slot) for k in window)
-
-
-def _tail_mass(ks: range, n: int, p: float) -> float:
-    """Binomial mass over ks, which lead away from the mode from at or past
-    it: summed until a term falls below 2^-60 of the running sum."""
-    terms, total = [], 0.0
-    for k in ks:
-        term = _binomial_pmf(k, n, p)
-        terms.append(term)
-        total += term
-        if term <= total * 2.0 ** -60:
-            break
-    return math.fsum(terms)
-
-
-def _binomial_pmf(k: int, n: int, p: float) -> float:
-    if p in (0.0, 1.0):
-        return float(k == n * p)
-    return math.exp(math.lgamma(n + 1) - math.lgamma(k + 1)
-                    - math.lgamma(n - k + 1)
-                    + k * math.log(p) + (n - k) * math.log1p(-p))
-
-
 def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     """Bob's attack graded by the trip rate of the D2 check over
     independent commit runs, when every slot clicks D2 independently with
@@ -421,8 +363,8 @@ def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
         expected={"d2_slot_rate": d2_rate},
         empirical={"d2_slot_rate": d2_clicks / (runs * m * n)},
         detection_probability=detected / runs,
-        detection_probability_analytic=d2_detection_probability(d2_rate,
-                                                                params),
+        detection_probability_analytic=protocol.d2_detection_probability(
+            d2_rate, params),
         extras={"per_sequence_failure_rate": seq_failures / (runs * m)},
     )
 

@@ -437,20 +437,20 @@ def test_optimal_alter_success_rate_single_sequence():
 
 def test_d2_detection_probability_honest_rate_is_small():
     p = params(m=1, n=130)
-    assert adversary.d2_detection_probability(0.25, p) < 1e-3
+    assert protocol.d2_detection_probability(0.25, p) < 1e-3
 
 
 def test_d2_detection_probability_follows_the_mirror():
     # An honest r = 0.3 mirror clicks D2 at t/2 = 0.35 per slot.
     p = protocol.CommitmentParams(m=1, n=130, bs=optics.BeamSplitter(0.3, 0.7))
-    assert adversary.d2_detection_probability(0.35, p) < 1e-4
+    assert protocol.d2_detection_probability(0.35, p) < 1e-4
 
 
 def test_d2_detection_probability_monotone_in_m():
     p1 = protocol.CommitmentParams(m=1, n=130)
     p70 = protocol.CommitmentParams(m=70, n=130)
-    d1 = adversary.d2_detection_probability(0.4, p1)
-    d70 = adversary.d2_detection_probability(0.4, p70)
+    d1 = protocol.d2_detection_probability(0.4, p1)
+    d70 = protocol.d2_detection_probability(0.4, p70)
     assert d70 > d1
     assert d70 == pytest.approx(1.0 - (1.0 - d1) ** 70, rel=1e-9)
 
@@ -459,11 +459,10 @@ def _exact_d2_detection(p_slot, params):
     """1 - (1 - F)^m with F the binomial mass outside the D2 window, in
     exact integers (all mass minus the window's); F is rounded to a float
     once before the power."""
-    lo, hi = protocol.d2_window(params)
     n = params.n
     num, den = Fraction(p_slot).as_integer_ratio()
     inside = sum(math.comb(n, k) * num**k * (den - num)**(n - k)
-                 for k in range(n + 1) if lo <= k <= hi)
+                 for k in protocol.d2_window(params))
     fail = Fraction((den**n - inside) / den**n)
     return float(1 - (1 - fail) ** params.m)
 
@@ -474,7 +473,7 @@ def _exact_d2_detection(p_slot, params):
 def test_d2_detection_probability_matches_exact_sum(n, p_slot):
     for m in (1, 70):
         p = protocol.CommitmentParams(m=m, n=n)
-        assert adversary.d2_detection_probability(p_slot, p) == pytest.approx(
+        assert protocol.d2_detection_probability(p_slot, p) == pytest.approx(
             _exact_d2_detection(p_slot, p), rel=1e-9, abs=0.0)
 
 
@@ -485,33 +484,25 @@ def test_d2_detection_probability_sums_only_near_the_window(monkeypatch,
     # the window is 8 sigma wide, and each tail stops within a few sigma.
     n = rng_module.MAX_ITEM_SLOTS
     calls = []
-    pmf = adversary._binomial_pmf
+    pmf = protocol._binomial_pmf
 
     def counted(*args):
         calls.append(args)
         return pmf(*args)
 
-    monkeypatch.setattr(adversary, "_binomial_pmf", counted)
-    adversary._sequence_fail.cache_clear()   # sum afresh, not from the cache
-    detect = adversary.d2_detection_probability(
+    monkeypatch.setattr(protocol, "_binomial_pmf", counted)
+    protocol._sequence_fail.cache_clear()   # sum afresh, not from the cache
+    detect = protocol.d2_detection_probability(
         p_slot, protocol.CommitmentParams(m=1, n=n))
     assert 0.0 < detect <= 1.0
     assert len(calls) < 10 * math.sqrt(n)
 
 
 def _d2_detection_uncached(p_slot, params):
-    """d2_detection_probability as it was before the per-sequence mass was
-    cached: the window and both tails on every call."""
-    lo, hi = protocol.d2_window(params)
-    n = params.n
-    window = range(max(0, math.ceil(lo)), min(n, math.floor(hi)) + 1)
-    if lo <= n * p_slot <= hi:
-        fail = (adversary._tail_mass(range(window.start - 1, -1, -1), n,
-                                     p_slot)
-                + adversary._tail_mass(range(window.stop, n + 1), n, p_slot))
-    else:
-        fail = 1.0 - math.fsum(adversary._binomial_pmf(k, n, p_slot)
-                               for k in window)
+    """d2_detection_probability with the per-sequence mass summed afresh,
+    past its cache."""
+    fail = protocol._sequence_fail.__wrapped__(p_slot, params.n,
+                                               protocol.d2_window(params))
     if fail >= 1.0:
         return 1.0
     return -math.expm1(params.m * math.log1p(-fail))
@@ -528,17 +519,17 @@ def test_d2_detection_probability_cache_is_bit_identical(p_slot, m, n, sigma,
                                   d2_check_sigma=sigma)
     expected = _d2_detection_uncached(p_slot, p)
     # Once filling the cache, once reading it.
-    assert adversary.d2_detection_probability(p_slot, p) == expected
-    assert adversary.d2_detection_probability(p_slot, p) == expected
+    assert protocol.d2_detection_probability(p_slot, p) == expected
+    assert protocol.d2_detection_probability(p_slot, p) == expected
 
 
 def test_d2_detection_probability_cache_is_bounded():
-    maxsize = adversary._sequence_fail.cache_info().maxsize
+    maxsize = protocol._sequence_fail.cache_info().maxsize
     assert maxsize is not None
     p = params(m=70, n=130)
     for i in range(maxsize + 50):
-        adversary.d2_detection_probability(i / (maxsize + 50), p)
-    assert adversary._sequence_fail.cache_info().currsize <= maxsize
+        protocol.d2_detection_probability(i / (maxsize + 50), p)
+    assert protocol._sequence_fail.cache_info().currsize <= maxsize
 
 
 def test_bob_illegal_bs_detected():
@@ -564,7 +555,7 @@ def test_d2_trip_rate_at_integer_window_edges():
                                   d2_check_sigma=1.0)
     exact = 1 - sum(math.comb(16, k) for k in range(6, 11)) / 2**16
     assert round(exact, 5) == 0.21011
-    assert adversary.d2_detection_probability(0.5, p) == pytest.approx(
+    assert protocol.d2_detection_probability(0.5, p) == pytest.approx(
         exact, rel=0.0, abs=1e-12)
     runs = 20_000
     report = adversary.bob_illegal_bs(0.999999, p, substream(48, 0), runs=runs)
@@ -627,9 +618,9 @@ def _per_slot_detection_runs(sample_d2_flags, p, rng, runs):
     """The per-slot reference: every slot of every run is drawn and its D2
     flags summed. Returns (detection, mean D2 rate, per-sequence failure)
     frequencies."""
-    lo, hi = protocol.d2_window(p)
+    window = protocol.d2_window(p)
     counts = sample_d2_flags(rng, (runs, p.m, p.n)).sum(axis=2)
-    bad = (counts < lo) | (counts > hi)
+    bad = (counts < window.start) | (counts >= window.stop)
     return (np.count_nonzero(bad.any(axis=1)) / runs,
             counts.sum() / (runs * p.m * p.n),
             np.count_nonzero(bad) / (runs * p.m))
@@ -677,7 +668,7 @@ def test_bob_d2_counts_match_per_slot_sampler(attack, arg):
     sampled = (report.detection_probability, report.empirical["d2_slot_rate"],
                report.extras["per_sequence_failure_rate"])
     exact = (report.detection_probability_analytic, rate,
-             adversary.d2_detection_probability(
+             protocol.d2_detection_probability(
                  rate, protocol.CommitmentParams(m=1, n=p.n)))
     trials = (runs, runs * p.m * p.n, runs * p.m)
     for args in zip(sampled, reference, exact, trials):

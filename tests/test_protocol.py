@@ -136,9 +136,8 @@ def test_commit_phase_detector_statistics():
 def test_d2_check_window_and_abort():
     params = make_params(m=2, n=16, master_seed=9)
     t = protocol.run_commit_phase(params, b=0)
-    lo, hi = protocol.d2_window(params)
-    assert lo == pytest.approx(4 - 4 * math.sqrt(3), abs=1e-9)
-    assert hi == pytest.approx(4 + 4 * math.sqrt(3), abs=1e-9)
+    # 4 -/+ 4 sqrt(3) = -2.93..10.93, clipped below at 0.
+    assert protocol.d2_window(params) == range(0, 11)
     assert t.phase == protocol.PHASE_COMMITTED
     # Force a sequence outside the window through its clicks alone: the
     # counts, the check, the phase and the opening verdict all follow.
@@ -156,9 +155,28 @@ def test_d2_window_edges_are_inclusive():
     # and sigma = 1 give the window 8 -/+ 2, both edges on integers.
     params = protocol.CommitmentParams(m=1, n=16, bs=optics.BeamSplitter(
         0.0, 1.0), d2_check_sigma=1.0)
-    assert protocol.d2_window(params) == (6.0, 10.0)
+    assert protocol.d2_window(params) == range(6, 11)
     passed = protocol.alice_check_d2(np.arange(17), params)
     assert np.flatnonzero(passed).tolist() == [6, 7, 8, 9, 10]
+
+
+def test_empty_d2_window_fails_every_count():
+    # 32.5 -/+ 0.01 sqrt(130 * 0.25 * 0.75) = 32.45..32.55 holds no integer.
+    params = protocol.CommitmentParams(m=1, n=130, d2_check_sigma=0.01)
+    assert protocol.d2_window(params) == range(33, 33)
+    assert not protocol.alice_check_d2(np.arange(131), params).any()
+    for p_slot in (0.0, 0.25, 0.5, 1.0):
+        assert protocol.d2_detection_probability(p_slot, params) == 1.0
+
+
+def test_overflowing_d2_window_passes_every_count():
+    # sigma * sd overflows to inf; the edges are clipped to [0, n] first.
+    params = protocol.CommitmentParams(m=3, n=16, d2_check_sigma=1.7e308)
+    assert protocol.d2_window(params) == range(0, 17)
+    assert protocol.alice_check_d2(np.arange(17), params).all()
+    assert protocol.run_commit_phase(params).phase == protocol.PHASE_COMMITTED
+    for p_slot in (0.0, 0.25, 0.5, 1.0):
+        assert protocol.d2_detection_probability(p_slot, params) == 0.0
 
 
 def test_fully_transmitting_mirror_forces_abort():
@@ -183,8 +201,10 @@ def test_d2_window_follows_the_mirror(seed):
     # out of it.
     params = protocol.CommitmentParams(
         m=70, n=130, bs=optics.BeamSplitter(0.3, 0.7), master_seed=seed)
-    lo, hi = protocol.d2_window(params)
-    assert (lo + hi) / 2 == pytest.approx(130 * 0.35)
+    # 45.5 -/+ 4 sqrt(130 * 0.35 * 0.65) = 23.75..67.25
+    window = protocol.d2_window(params)
+    assert window == range(24, 68)
+    assert (window.start + window[-1]) / 2 == 130 * 0.35
     t = protocol.run_commit_phase(params)
     assert t.phase == protocol.PHASE_COMMITTED
     assert protocol.bob_verify_opening(t, t.honest_opening())
@@ -246,6 +266,22 @@ def test_flip_on_d0_slot_with_bit_change_accepted():
     assert protocol.bob_verify_opening(t, opening)
 
 
+def test_claims_that_are_not_bits_rejected():
+    # Each claim reduces to the honest one under a uint8 cast or `& 1`.
+    t = committed_transcript(seed=3, b=1, m=5, n=32)
+    d0_slot = np.flatnonzero(t.detectors[0] == 0)[0]
+    assert t.alice_bits[0, d0_slot] == 1
+    assert protocol.bob_verify_opening(t, t.honest_opening())
+    for dtype, value in ((np.int64, 257), (np.float64, 1.5)):
+        opening = t.honest_opening()
+        opening.claimed_bits = opening.claimed_bits.astype(dtype)
+        opening.claimed_bits[0, d0_slot] = value
+        assert protocol.bob_verify_opening(t, opening).reason == "not-a-bit"
+    opening = t.honest_opening()
+    opening.claimed_bit = 3
+    assert protocol.bob_verify_opening(t, opening).reason == "not-a-bit"
+
+
 def test_wrong_d2_record_rejected():
     t = committed_transcript(seed=14)
     opening = t.honest_opening()
@@ -285,25 +321,38 @@ def test_transcript_summary_fields():
     assert json.loads(json.dumps(t.summary(), sort_keys=True)) == s
 
 
+def _rows_by_the_per_row_rule(t):
+    """A D2 click comes back in Alice's time bin (direct for a = 0, loop
+    for a = 1); a D0 or D1 click in the return bin."""
+    rows = []
+    for i in range(t.params.m):
+        for j in range(t.params.n):
+            a, b = int(t.alice_bits[i, j]), int(t.bob_bits[i, j])
+            code = int(t.detectors[i, j])
+            if code == 2:
+                time_bin = optics.TIME_BIN_LOOP if a else optics.TIME_BIN_DIRECT
+            else:
+                time_bin = optics.TIME_BIN_RETURN
+            rows.append([i, j, a, b, f"D{code}", time_bin])
+    return rows
+
+
 def test_slot_rows_follow_the_per_row_rule():
-    # Every click code under both of Alice's bits. A D2 click comes back
-    # in her time bin (direct for a = 0, loop for a = 1); a D0 or D1 click
-    # in the return bin.
+    # Every click code under both of Alice's bits.
     alice = np.array([[0, 1, 0, 1], [1, 0, 1, 0]], dtype=np.uint8)
     bob = np.array([[0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.uint8)
     detectors = np.array([[2, 2, 0, 0], [1, 1, 0, 0]], dtype=np.int8)
     t = protocol.CommitmentTranscript(make_params(m=2, n=4), 0, alice, bob,
                                       detectors)
-    expected = []
-    for i in range(2):
-        for j in range(4):
-            a, b, code = int(alice[i, j]), int(bob[i, j]), int(detectors[i, j])
-            if code == 2:
-                time_bin = optics.TIME_BIN_LOOP if a else optics.TIME_BIN_DIRECT
-            else:
-                time_bin = optics.TIME_BIN_RETURN
-            expected.append([i, j, a, b, f"D{code}", time_bin])
-    assert [list(row) for row in t.slot_rows()] == expected
+    assert [list(row) for row in t.slot_rows()] == _rows_by_the_per_row_rule(t)
+
+
+def test_slot_rows_across_blocks_follow_the_per_row_rule():
+    # Rows are built a block of whole sequences at a time: 32768 sequences
+    # of n = 2 fill one block, so the last sequence is a block of its own.
+    t = protocol.run_commit_phase(
+        protocol.CommitmentParams(m=32769, n=2, master_seed=21), b=0)
+    assert [list(row) for row in t.slot_rows()] == _rows_by_the_per_row_rule(t)
 
 
 def test_transcript_csv(tmp_path):
