@@ -289,14 +289,29 @@ def sample_detectors(
     shape, distributed per outcome_distribution. Equivalence with the
     amplitude-level run_slot is enforced by the Monte Carlo agreement
     tests.
+
+    The code is the count of cuts (r^2 and r^2 + rt) that a uniform
+    u = k * 2^-53 reaches, with k a 53-bit integer, as rng.random() would
+    give it: u reaches a cut c iff k reaches K = ceil(c * 2^53). Every slot
+    draws k's top byte. Only a slot whose byte equals the top byte of a K
+    with nonzero low bits draws k's 45 low bits, one word in C order that
+    both cuts share. At the balanced mirror no K has low bits, so a slot
+    costs one byte. The draws do not depend on eq.
     """
     eq = np.asarray(eq, dtype=bool)
-    u = rng.random(eq.shape)
     matched = outcome_distribution(0, 0, bs)
     d1_from = matched[Detector.D0]
-    d2_from = d1_from + matched[Detector.D1]
-    # d1_from <= d2_from, so the code is the count of thresholds u reaches.
-    det = (u >= d1_from).view(np.int8) + (u >= d2_from).view(np.int8)
+    cuts = [math.ceil(c * (1 << 53))
+            for c in (d1_from, d1_from + matched[Detector.D1])]
+    high = rng.integers(0, 256, eq.shape, dtype=np.uint8)
+    # A byte at or past ceil(K / 2^45) reaches K whatever its low bits.
+    det = sum((high >= -(-k >> 45)).view(np.int8) for k in cuts)
+    ties = [k >> 45 for k in cuts if k % (1 << 45)]
+    if ties:  # one tied byte or two
+        tied = (high == ties[0]) | (high == ties[-1])
+        k = high[tied].astype(np.int64) << 45
+        k += rng.integers(0, 1 << 45, k.size)
+        det[tied] = sum((k >= c).view(np.int8) for c in cuts)
     det *= eq
     return det
 

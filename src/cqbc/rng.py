@@ -32,8 +32,8 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 # Largest block of slots sampled at once: one commit, one run of an attack
 # on Bob's side, or one sequence of Alice's. A commit with its verification
-# holds the most per slot, about 14 bytes by tracemalloc, so this cap keeps
-# a block under 60 MB; larger requests are refused before anything is
+# holds the most per slot, about 8 bytes by tracemalloc, so this cap keeps
+# a block under 35 MB; larger requests are refused before anything is
 # allocated. The attacks hold counts, not slots: Bob's runs one D2 count
 # per sequence (at most 8.5 bytes a slot, at n = 2), the intercept attacks
 # table-row counts.

@@ -320,25 +320,62 @@ def test_slot_table_masses_equal_closed_form(a_bit, b_bit):
 
 
 def _sample_detectors_masked(eq, bs, rng):
-    """sample_detectors as it was, by masked assignment of each code."""
-    u = rng.random(eq.shape)
-    det = np.zeros(eq.shape, dtype=np.int8)
+    """sample_detectors by the float-threshold rule, on the same k.
+
+    Reads the sampler's draws: k's top byte for every slot, then one 45-bit
+    word for each slot, in C order, whose byte holds both a k that reaches
+    a cut and one that does not. It rebuilds u = k * 2^-53, as
+    rng.random() gives it, and assigns each code by masked comparison of u
+    with the float cuts, as the sampler did when it drew u itself.
+    """
     matched = optics.outcome_distribution(0, 0, bs)
     d1_from = matched[optics.Detector.D0]
     d2_from = d1_from + matched[optics.Detector.D1]
+    high = rng.integers(0, 256, eq.shape, dtype=np.uint8).astype(np.int64)
+    first = (high << 45) * 2.0 ** -53           # the byte's smallest u
+    last = ((high << 45) + (1 << 45) - 1) * 2.0 ** -53   # and its largest
+    tied = np.zeros(eq.shape, dtype=bool)
+    for cut in (d1_from, d2_from):
+        tied |= (first < cut) & (last >= cut)
+    k = high << 45
+    k[tied] += rng.integers(0, 1 << 45, np.count_nonzero(tied))
+    u = k * 2.0 ** -53
+    det = np.zeros(eq.shape, dtype=np.int8)
     det[eq & (u >= d1_from) & (u < d2_from)] = 1
     det[eq & (u >= d2_from)] = 2
     return det
 
 
-@pytest.mark.parametrize("r", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("r", [0.0, 1e-3, 0.3, 0.5, 1.0])
 def test_sample_detectors_equals_masked_assignment(r):
     bs = optics.BeamSplitter(r, 1.0 - r)
     eq = substream(23, 0).random((70, 130)) < 0.5
-    det = optics.sample_detectors(eq, bs, substream(23, 1))
-    reference = _sample_detectors_masked(eq, bs, substream(23, 1))
+    rng = substream(23, 1)
+    det = optics.sample_detectors(eq, bs, rng)
+    reference_rng = substream(23, 1)
+    reference = _sample_detectors_masked(eq, bs, reference_rng)
     assert det.dtype == reference.dtype
     assert np.array_equal(det, reference)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5])
+def test_sample_detectors_draws_do_not_depend_on_eq(r):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    states = []
+    for eq in (np.ones((64, 130), dtype=bool), np.zeros((64, 130), dtype=bool)):
+        rng = substream(26, 0)
+        optics.sample_detectors(eq, bs, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+def test_balanced_sampler_draws_one_byte_a_slot():
+    rng, expected = substream(27, 0), substream(27, 0)
+    optics.sample_detectors(np.ones((64, 130), dtype=bool),
+                            optics.BeamSplitter.balanced(), rng)
+    expected.integers(0, 256, 64 * 130, dtype=np.uint8)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_sample_detectors_agrees_with_run_slot():

@@ -253,6 +253,21 @@ def test_flip_on_confirmed_slot_rejected():
             == "confirmed-slot-mismatch")
 
 
+def test_flip_on_d2_slot_rejected():
+    # Bob confirms a slot on no click too (an inferred D2), so a flip there
+    # must fail the same check as a flip on a D1 slot.
+    t = committed_transcript(b=0, seed=12, m=5, n=32)
+    opening = t.honest_opening()
+    d2_slots = np.flatnonzero(t.detectors[0] == 2)
+    d0_slots = np.flatnonzero(t.detectors[0] == 0)
+    assert d2_slots.size > 0 and d0_slots.size > 0
+    # flip a D0 slot too, to keep the parity intact
+    opening.claimed_bits[0, d2_slots[0]] ^= 1
+    opening.claimed_bits[0, d0_slots[0]] ^= 1
+    assert (protocol.bob_verify_opening(t, opening).reason
+            == "confirmed-slot-mismatch")
+
+
 def test_flip_on_d0_slot_with_bit_change_accepted():
     """Flipping one bit on a D0 slot keeps every check green: this is
     exactly the residual binding gap the analytic bound quantifies."""
