@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
+from .rng import _uniform_bytes
 
 NORM_TOL = 1e-12
 
@@ -293,17 +294,17 @@ def sample_detectors(
     The code is the count of cuts (r^2 and r^2 + rt) that a uniform
     u = k * 2^-53 reaches, with k a 53-bit integer, as rng.random() would
     give it: u reaches a cut c iff k reaches K = ceil(c * 2^53). Every slot
-    draws k's top byte. Only a slot whose byte equals the top byte of a K
-    with nonzero low bits draws k's 45 low bits, one word in C order that
-    both cuts share. At the balanced mirror no K has low bits, so a slot
-    costs one byte. The draws do not depend on eq.
+    draws k's top byte, eight to a 64-bit word. Only a slot whose byte
+    equals the top byte of a K with nonzero low bits draws k's 45 low bits,
+    one word in C order that both cuts share. At the balanced mirror no K
+    has low bits, so a slot costs one byte. The draws do not depend on eq.
     """
     eq = np.asarray(eq, dtype=bool)
     matched = outcome_distribution(0, 0, bs)
     d1_from = matched[Detector.D0]
     cuts = [math.ceil(c * (1 << 53))
             for c in (d1_from, d1_from + matched[Detector.D1])]
-    high = rng.integers(0, 256, eq.shape, dtype=np.uint8)
+    high = _uniform_bytes(rng, eq.size).reshape(eq.shape)
     # A byte at or past ceil(K / 2^45) reaches K whatever its low bits.
     det = sum((high >= -(-k >> 45)).view(np.int8) for k in cuts)
     ties = [k >> 45 for k in cuts if k % (1 << 45)]

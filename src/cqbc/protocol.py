@@ -19,7 +19,8 @@ import numpy as np
 
 from . import optics
 from .errors import ParameterError
-from .rng import DEFAULT_SEED, _chunks, check_item_slots, substream
+from .rng import (DEFAULT_SEED, _chunks, _uniform_bytes, check_item_slots,
+                  substream)
 
 PHASE_COMMITTED = "committed"
 PHASE_ABORTED = "aborted"
@@ -55,10 +56,10 @@ class CommitmentParams:
 def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """An (m, n) uint8 array of i.i.d. fair bits, eight from each uniform
     random byte: a per-bit bounded draw costs several times as much. The
-    bytes are drawn as uint8, never viewed from wider words, so the bits do
-    not depend on the machine's byte order."""
+    bytes come eight to a 64-bit word in a pinned order (_uniform_bytes),
+    so the bits do not depend on the machine's byte order."""
     size = m * n
-    random_bytes = rng.integers(0, 256, size=(size + 7) // 8, dtype=np.uint8)
+    random_bytes = _uniform_bytes(rng, (size + 7) // 8)
     return np.unpackbits(random_bytes, count=size).reshape(m, n)
 
 

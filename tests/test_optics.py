@@ -319,19 +319,28 @@ def test_slot_table_masses_equal_closed_form(a_bit, b_bit):
             assert abs(masses[det] - p) <= 1e-15, (r, det)
 
 
+def _word_bytes(rng, size):
+    """size uniform bytes from a bare draw of ceil(size / 8) full-range
+    64-bit words, byte i of word w being (w >> 8i) & 0xFF."""
+    words = rng.integers(0, 2**64, -(-size // 8), dtype=np.uint64)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & 0xFF).ravel()[:size]
+
+
 def _sample_detectors_masked(eq, bs, rng):
     """sample_detectors by the float-threshold rule, on the same k.
 
-    Reads the sampler's draws: k's top byte for every slot, then one 45-bit
-    word for each slot, in C order, whose byte holds both a k that reaches
-    a cut and one that does not. It rebuilds u = k * 2^-53, as
-    rng.random() gives it, and assigns each code by masked comparison of u
-    with the float cuts, as the sampler did when it drew u itself.
+    Reads the sampler's draws: k's top byte for every slot, eight bytes to
+    a 64-bit word, least significant first, then one 45-bit word for each
+    slot, in C order, whose byte holds both a k that reaches a cut and one
+    that does not. It rebuilds u = k * 2^-53, as rng.random() gives it,
+    and assigns each code by masked comparison of u with the float cuts,
+    as the sampler did when it drew u itself.
     """
     matched = optics.outcome_distribution(0, 0, bs)
     d1_from = matched[optics.Detector.D0]
     d2_from = d1_from + matched[optics.Detector.D1]
-    high = rng.integers(0, 256, eq.shape, dtype=np.uint8).astype(np.int64)
+    high = _word_bytes(rng, eq.size).reshape(eq.shape).astype(np.int64)
     first = (high << 45) * 2.0 ** -53           # the byte's smallest u
     last = ((high << 45) + (1 << 45) - 1) * 2.0 ** -53   # and its largest
     tied = np.zeros(eq.shape, dtype=bool)
@@ -374,7 +383,7 @@ def test_balanced_sampler_draws_one_byte_a_slot():
     rng, expected = substream(27, 0), substream(27, 0)
     optics.sample_detectors(np.ones((64, 130), dtype=bool),
                             optics.BeamSplitter.balanced(), rng)
-    expected.integers(0, 256, 64 * 130, dtype=np.uint8)
+    expected.integers(0, 2**64, 64 * 130 // 8, dtype=np.uint64)
     assert rng.bit_generator.state == expected.bit_generator.state
 
 

@@ -45,10 +45,15 @@ def test_alice_parity_constraint(b, m, n, seed):
 
 def _byte_bits(rng, m, n):
     """m rows of n fair bits, unpacked most significant bit first from
-    ceil(m n / 8) uniform bytes: the draw behind both parties' sequences."""
-    random_bytes = rng.integers(0, 256, size=math.ceil(m * n / 8),
-                                dtype=np.uint8)
-    return np.unpackbits(random_bytes, count=m * n).reshape(m, n)
+    ceil(m n / 8) uniform bytes: the draw behind both parties' sequences.
+    The bytes come from a bare draw of 64-bit words, byte i of word w
+    being (w >> 8i) & 0xFF."""
+    size = math.ceil(m * n / 8)
+    words = rng.integers(0, 2**64, math.ceil(size / 8), dtype=np.uint64)
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    random_bytes = ((words[:, None] >> shifts) & 0xFF).astype(np.uint8)
+    return np.unpackbits(random_bytes.ravel()[:size],
+                         count=m * n).reshape(m, n)
 
 
 @pytest.mark.parametrize("m, n", [(32768, 2), (21845, 3), (70, 130), (1, 32)])
@@ -78,9 +83,11 @@ def test_alice_generate_uniform_over_parity_class():
 
 @pytest.mark.parametrize("m, n", [(1, 2), (3, 7), (5, 9), (70, 130)])
 def test_bob_generate_is_the_unpacked_byte_draw(m, n):
-    bits = protocol.bob_generate(m, n, substream(103, m, n))
+    rng, reference_rng = substream(103, m, n), substream(103, m, n)
+    bits = protocol.bob_generate(m, n, rng)
     assert bits.dtype == np.uint8
-    assert np.array_equal(bits, _byte_bits(substream(103, m, n), m, n))
+    assert np.array_equal(bits, _byte_bits(reference_rng, m, n))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("generate", [
