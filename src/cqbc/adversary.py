@@ -4,8 +4,8 @@ Each attack returns an AttackReport holding the closed-form expectation
 next to the simulated totals so the two routes can be cross-checked.
 
 Alice's intercept and intercept/resend attacks are each two slot classes,
-unattacked and attacked, each a mixture of click rows: the honest channel
-of `optics.outcome_distribution` on unattacked slots and the attack's rows
+unattacked and attacked, each a mixture of click rows: Bob's honest view
+of `optics.view_channel` on unattacked slots and the attack's rows
 on attacked ones. The expectations and the simulated totals both read
 those two classes. The rows follow the published accounting of the attack
 totals: an intercepted slot whose bits mismatch hands the photon to Alice
@@ -106,12 +106,11 @@ def _slot_classes(bs: optics.BeamSplitter,
     counts, exactly as the per-slot draws would.
     """
     clicks = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]   # one click: D0, D1, D2
-    matched, mismatched = (
-        list(zip(clicks, optics.outcome_distribution(0, b_bit, bs).values()))
-        for b_bit in (0, 1))
-    # Opening both bins adds nothing on matched slots (the honest bin is
-    # already covered); on mismatched slots Alice captures the photon.
-    attacked = matched + [((0, 0, 1), 1.0)]
+    # Unattacked: the honest view given a = 0, matched slots then mismatched.
+    # Attacked: opening both bins adds nothing on matched slots (their bin
+    # is open anyway); on mismatched slots Alice captures the photon.
+    unattacked = list(zip(clicks * 2, optics.view_channel(bs)[0]))
+    attacked = unattacked[:3] + [((0, 0, 1), 0.5)]
     if resend:
         # Alice re-emits one photon per attacked slot, captured or not; it
         # re-enters the receiver arm alone: D0 with t, D1 with r.
@@ -121,13 +120,12 @@ def _slot_classes(bs: optics.BeamSplitter,
                     for extra, p_extra in (((1, 0, 0), bs.t),
                                            ((0, 1, 0), bs.r))]
     classes = []
-    for table, is_attacked in ((matched + mismatched, False),
-                               (attacked, True)):
+    for table, is_attacked in ((unattacked, False), (attacked, True)):
         rows = np.array([counts for counts, _ in table], dtype=np.int16)
         candidate = (rows[:, 2] == 0) | (resend and is_attacked)
         unflagged = (rows[:, 0] > 0) & (rows[:, 1] == 0)
         classes.append(_SlotClass(
-            rows=rows, mix=np.array([0.5 * prob for _, prob in table]),
+            rows=rows, mix=np.array([prob for _, prob in table]),
             flip=np.column_stack([candidate, candidate & unflagged])))
     return tuple(classes)
 

@@ -268,14 +268,22 @@ def outcome_distribution(
     }
 
 
+def view_channel(bs: BeamSplitter) -> tuple[tuple, tuple]:
+    """Bob's view of one honest slot, his bit b uniform: row a holds
+    P(b, click | Alice's bit a) at column 3 * b + click (0, 1, 2 for D0, D1,
+    D2; no click reads as D2). Only whether the bits match counts, so row 1
+    is row 0 with its halves swapped. Exact for a Fraction mirror."""
+    row = tuple(prob / 2 for b_bit in (0, 1)
+                for prob in outcome_distribution(0, b_bit, bs).values())
+    return row, row[3:] + row[:3]
+
+
 def slot_law(bs: BeamSplitter) -> tuple:
-    """Per-slot (P_D0, P_D1, P_D2) when both parties' bits are uniform and
-    independent, so they match with probability 1/2: p = P_D1 + P_D2 and
-    q = P_D2 of the security analysis, and the centre of Alice's D2-rate
-    window. Exact for a mirror with Fraction coefficients."""
-    eq, neq = outcome_distribution(0, 0, bs), outcome_distribution(0, 1, bs)
-    return tuple((eq[det] + neq[det]) / 2
-                 for det in (Detector.D0, Detector.D1, Detector.D2))
+    """Per-slot (P_D0, P_D1, P_D2), the marginal of view_channel over Bob's
+    bit: p = P_D1 + P_D2 and q = P_D2 of the security analysis, and the
+    centre of Alice's D2-rate window."""
+    row = view_channel(bs)[0]
+    return tuple(row[click] + row[3 + click] for click in range(3))
 
 
 def sample_detectors(

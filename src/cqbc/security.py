@@ -27,7 +27,7 @@ class ComparisonProbs:
     """Per-slot probabilities of the comparison channel (exact rationals).
 
     p        -- Bob confirms the bits matched (D1 click or inferred D2)
-    p_prime  -- Bob guesses Alice's bit correctly, counting D0-based guesses
+    p_prime  -- Bob's Bayes-optimal per-slot guess, (1 + tau)/2
     q        -- Alice learns that Bob confirmed (her D2 clicked)
     """
 
@@ -48,12 +48,11 @@ def comparison_probs(bs: optics.BeamSplitter) -> ComparisonProbs:
     # r that rounding error outweighs r^2 and tips p' = 1 - r^2 / 2 past 1.
     exact = optics.BeamSplitter(Fraction(bs.r), 1 - Fraction(bs.r))
     _, d1, d2 = optics.slot_law(exact)
-    p = d1 + d2
-    # On a D0 click Bob bets the bits differed; that guess is right on the
-    # whole mismatched D0 mass, on top of his confirmed slots.
+    # tau is the total-variation distance of Bob's views of the two bits;
+    # his best guess of a slot's bit is right with probability (1 + tau)/2.
     # So q = t/2 < p = (1 - r^2)/2 < p' = 1 - r^2/2 < 1 for any 0 < r < 1.
-    neq = optics.outcome_distribution(0, 1, exact)
-    return ComparisonProbs(p=p, p_prime=p + neq[optics.Detector.D0] / 2, q=d2)
+    tau = sum(abs(x - y) for x, y in zip(*optics.view_channel(exact))) / 2
+    return ComparisonProbs(p=d1 + d2, p_prime=(1 + tau) / 2, q=d2)
 
 
 def binding_advantage(m: int, p, q):
@@ -179,23 +178,18 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
 # Concealing: the law of Bob's view, exact at tiny n and sampled
 # ---------------------------------------------------------------------------
 # A law is a (2, 6^n) array whose row c is the law of Bob's view of n slots
-# given committed bit c. A view's index is the base-6 number whose digit for
-# slot j (slot 1 the most significant) is 3 * Bob's bit + his click code
-# (0, 1, 2 for D0, D1, D2; no click reads as D2).
+# given committed bit c. A view's index is the base-6 number of its slots'
+# columns of optics.view_channel, slot 1 the most significant.
 
 def _view_law(n: int, bs: optics.BeamSplitter) -> np.ndarray:
-    """Exact law, by enumerating every (Alice string, Bob string, click
-    record); exact rationals for a mirror with Fraction coefficients."""
-    channel = np.array([[prob for b in (0, 1) for prob in
-                         optics.outcome_distribution(a, b, bs).values()]
-                        for a in (0, 1)])  # [a, 3b + click]
+    """The law, by enumerating Alice's strings; exact for a Fraction mirror."""
     # The n-fold outer product with Alice's axes first, flattened: row
     # Alice's string, column the view, slot 1 most significant in both.
-    table = functools.reduce(np.kron, [channel] * n)
+    table = functools.reduce(np.kron, [np.array(optics.view_channel(bs))] * n)
     parity = np.array([bin(a_str).count("1") % 2 for a_str in range(2 ** n)])
-    # 1/2^(n-1) for each Alice string of the parity, 1/2^n for Bob's.
+    # 1/2^(n-1) for each Alice string of the parity.
     return np.stack([table[parity == c].sum(axis=0)
-                     for c in (0, 1)]) / 2 ** (2 * n - 1)
+                     for c in (0, 1)]) / 2 ** (n - 1)
 
 
 def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,

@@ -199,6 +199,31 @@ def test_fraction_mirror_gives_exact_channel(r):
         assert all(type(prob) is Fraction for prob in dist.values())
     assert optics.slot_law(bs) == ((1 + r * r) / 2, r * (1 - r) / 2,
                                    (1 - r) / 2)
+    channel = optics.view_channel(bs)
+    _assert_view_channel_cells(channel, bs)
+    for row in channel:
+        assert all(type(prob) is Fraction for prob in row)
+        assert sum(row) == 1
+
+
+def _assert_view_channel_cells(channel, bs):
+    """Cell (a, 3b + c) is half of outcome_distribution(a, b)'s click c, for
+    all four bit pairs: row 1 is checked against a = 1 itself, not against
+    the swap of row 0 that builds it."""
+    assert len(channel) == 2
+    for a_bit, row in enumerate(channel):
+        assert len(row) == 6
+        for b_bit in (0, 1):
+            dist = optics.outcome_distribution(a_bit, b_bit, bs)
+            for click, det in enumerate(optics.Detector):
+                assert row[3 * b_bit + click] == dist[det] / 2
+
+
+@given(r=st.floats(0.0, 1.0))
+def test_view_channel_is_half_of_each_bit_pairs_row(r):
+    # Float cells equal the halved rows bit for bit, not approximately.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    _assert_view_channel_cells(optics.view_channel(bs), bs)
 
 
 @given(r=st.floats(0.0, 1.0))

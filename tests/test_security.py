@@ -262,12 +262,19 @@ def test_oracle_equals_closed_form(n, r):
 
 
 def test_view_law_is_exact_for_a_fraction_mirror():
-    half = Fraction(1, 2)
-    law = security._view_law(3, optics.BeamSplitter(half, half))
-    assert law.shape == (2, 6 ** 3)
-    assert all(isinstance(prob, Fraction) for prob in law.flat)
-    assert law.sum(axis=1).tolist() == [1, 1]
-    assert abs(law[0] - law[1]).sum() / 2 == Fraction(27, 64)
+    # The oracle's TV over n slots is the per-slot TV to the n-th power,
+    # tau^n with tau = 2p' - 1 = 1 - r^2, exactly: 27/64 at r = 1/2, n = 3.
+    for r in (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5),
+              Fraction(17, 100)):
+        bs = optics.BeamSplitter(r, 1 - r)
+        tau = 2 * security.comparison_probs(bs).p_prime - 1
+        assert tau == 1 - r * r
+        for n in (2, 3, 4):
+            law = security._view_law(n, bs)
+            assert law.shape == (2, 6 ** n)
+            assert all(isinstance(prob, Fraction) for prob in law.flat)
+            assert law.sum(axis=1).tolist() == [1, 1]
+            assert abs(law[0] - law[1]).sum() / 2 == tau ** n, (n, r)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.3])
