@@ -124,9 +124,12 @@ def _slot_classes(bs: optics.BeamSplitter,
         rows = np.array([counts for counts, _ in table], dtype=np.int16)
         candidate = (rows[:, 2] == 0) | (resend and is_attacked)
         unflagged = (rows[:, 0] > 0) & (rows[:, 1] == 0)
-        classes.append(_SlotClass(
+        cls = _SlotClass(
             rows=rows, mix=np.array([prob for _, prob in table]),
-            flip=np.column_stack([candidate, candidate & unflagged])))
+            flip=np.column_stack([candidate, candidate & unflagged]))
+        for array in (cls.rows, cls.mix, cls.flip):
+            array.flags.writeable = False
+        classes.append(cls)
     return tuple(classes)
 
 
@@ -229,6 +232,28 @@ def resend_alter_probability(n: int, n0_resend: int) -> float:
     return 5 * n / (6 * n + 4 * n0_resend)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _intercept_tables(r, t, resend, n, n0):
+    """The slot classes of an intercept attack on n0 of n slots, the mean
+    and the variance of one sequence's click totals, and p_alter_model.
+
+    None of it depends on the draws, so a workload that repeats an attack
+    builds it once. The key is the mirror's fields, typed: a Fraction
+    mirror equals the float one but its mixture is exact (object, not
+    float64), so the two never share an entry. Every array is read-only.
+    """
+    classes = _slot_classes(optics.BeamSplitter(r, t), resend)
+    slots = (n - n0, n0)
+    mean = var = 0   # arrays of the mixture's type after the first class
+    for cls, k in zip(classes, slots):
+        weighted = cls.mix[:, None] * cls.rows
+        first = weighted.sum(axis=0)
+        mean = mean + k * first
+        var = var + k * ((weighted * cls.rows).sum(axis=0) - first * first)
+    mean.flags.writeable = var.flags.writeable = False
+    return classes, mean, var, _alter_model_probability(classes, slots)
+
+
 def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     n = params.n
     n0_key = "n0_resend" if resend else "n0"
@@ -245,17 +270,11 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     if clicks > np.iinfo(np.int64).max:
         raise ParameterError(
             f"{clicks} clicks in total exceed the int64 limit of 2^63 - 1")
-    classes = _slot_classes(params.bs, resend)
+    classes, mean, var, p_alter_model = _intercept_tables(
+        params.bs.r, params.bs.t, resend, n, n0)
     slots = (n - n0, n0)
     totals = sum(rng.multinomial(params.m * k, cls.mix) @ cls.rows
                  for cls, k in zip(classes, slots))
-    mean = np.zeros(3)
-    var = np.zeros(3)
-    for cls, k in zip(classes, slots):
-        weighted = cls.mix[:, None] * cls.rows
-        first = weighted.sum(axis=0)
-        mean += k * first
-        var += k * ((weighted * cls.rows).sum(axis=0) - first * first)
     p_emp = None
     extras = {"total_clicks": int(totals.sum())}
     if alter_trials:
@@ -269,7 +288,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         strategy = "alice-intercept"
         p_alter = intercept_alter_probability(n, n0)
     # The paper's p_alter next to the exact one of the classes sampled here.
-    extras["p_alter_model"] = _alter_model_probability(classes, slots)
+    extras["p_alter_model"] = p_alter_model
     return AttackReport(
         strategy=strategy,
         params={"n": n, "m": params.m, n0_key: n0},

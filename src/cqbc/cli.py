@@ -130,9 +130,9 @@ def _commitment_params(args):
 
 
 def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
-    from . import protocol
-    transcript = protocol.run_commit_phase(_commitment_params(args),
-                                           b=args.bit)
+    from . import optics, protocol
+    params = _commitment_params(args)
+    transcript = protocol.run_commit_phase(params, b=args.bit)
     opening = transcript.honest_opening()
     if args.open_bit is not None:
         opening.claimed_bit = args.open_bit
@@ -147,6 +147,9 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
         "summary": transcript.summary(),
         "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},
         "committed_bit": int(transcript.committed_bit),
+        # The chance that an honest run trips Alice's D2-rate check.
+        "honest_abort_probability": protocol.d2_detection_probability(
+            float(optics.slot_law(params.bs)[2]), params),
     }
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 

@@ -87,6 +87,19 @@ class BeamSplitter:
         return tuple(tuple(_slot_table(a_bit, b_bit, self) for b_bit in (0, 1))
                      for a_bit in (0, 1))
 
+    @functools.cached_property
+    def _sampler_cuts(self) -> tuple:
+        """sample_detectors' integer cuts K = ceil(c * 2^53) for c = r^2 and
+        r^2 + rt, the first top byte that reaches each whatever its low
+        bits, ceil(K / 2^45), and the top bytes that tie a K with nonzero
+        low bits. Built on first use and kept on the mirror."""
+        matched = outcome_distribution(0, 0, self)
+        d1_from = matched[Detector.D0]
+        cuts = tuple(math.ceil(c * (1 << 53))
+                     for c in (d1_from, d1_from + matched[Detector.D1]))
+        return (cuts, tuple(-(-k >> 45) for k in cuts),
+                tuple(k >> 45 for k in cuts if k % (1 << 45)))
+
 
 @dataclass(frozen=True)
 class Polarization:
@@ -308,19 +321,16 @@ def sample_detectors(
     has low bits, so a slot costs one byte. The draws do not depend on eq.
     """
     eq = np.asarray(eq, dtype=bool)
-    matched = outcome_distribution(0, 0, bs)
-    d1_from = matched[Detector.D0]
-    cuts = [math.ceil(c * (1 << 53))
-            for c in (d1_from, d1_from + matched[Detector.D1])]
+    cuts, first, ties = bs._sampler_cuts
     high = _uniform_bytes(rng, eq.size).reshape(eq.shape)
     # A byte at or past ceil(K / 2^45) reaches K whatever its low bits.
-    det = sum((high >= -(-k >> 45)).view(np.int8) for k in cuts)
-    ties = [k >> 45 for k in cuts if k % (1 << 45)]
+    det = (high >= first[0]).view(np.int8)
+    det += (high >= first[1]).view(np.int8)
     if ties:  # one tied byte or two
         tied = (high == ties[0]) | (high == ties[-1])
         k = high[tied].astype(np.int64) << 45
         k += rng.integers(0, 1 << 45, k.size)
-        det[tied] = sum((k >= c).view(np.int8) for c in cuts)
+        det[tied] = np.add(*((k >= c).view(np.int8) for c in cuts))
     det *= eq
     return det
 

@@ -207,9 +207,10 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
             bits = protocol.alice_generate(b_commit, chunk, n, rng)
             b_bits = protocol.bob_generate(chunk, n, rng)
             det = optics.sample_detectors(bits == b_bits, bs, rng)
-            slot_codes = b_bits * np.uint8(3) + det.view(np.uint8)
-            views = np.zeros(chunk, dtype=index_type)
-            for column in slot_codes.T:
+            slot_codes = b_bits * np.uint8(3)
+            slot_codes += det.view(np.uint8)
+            views = slot_codes[:, 0].astype(index_type)
+            for column in slot_codes.T[1:]:
                 views *= 6
                 views += column
             counts[b_commit] += np.bincount(views, minlength=n_views)
@@ -252,10 +253,10 @@ def security_report(m: int, n: int,
                     bs: Optional[optics.BeamSplitter] = None) -> dict:
     """Analytic security summary for one (m, n, beam splitter) choice, as
     the plain values a report holds: each advantage as choose_parameters
-    evaluates it."""
-    if m < 1 or n < 1:
-        raise ParameterError("m and n must be >= 1")
+    evaluates it, and the chance that an honest run trips Alice's D2-rate
+    check at the default window. m and n are refused as a commit's are."""
     bs = bs or optics.BeamSplitter.balanced()
+    params = protocol.CommitmentParams(m, n, bs)
     probs = comparison_probs(bs)
     ratio, log_pp = _floats(probs)
     concealing = _concealing_report(m, n, log_pp)
@@ -274,4 +275,6 @@ def security_report(m: int, n: int,
             "first_order": concealing.first_order,
             "note": concealing.factor_two_note,
         },
+        "honest_abort_probability": protocol.d2_detection_probability(
+            float(optics.slot_law(bs)[2]), params),
     }

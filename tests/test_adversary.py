@@ -1,6 +1,7 @@
 """Attack simulators versus their closed-form predictions."""
 
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -389,6 +390,63 @@ def test_intercept_model_is_none_without_flippable_slot():
     report = adversary.alice_intercept(4, p, substream(63, 0))
     assert report.extras["p_alter_model"] is None
     assert report.empirical["D2"] == 4
+
+
+@pytest.mark.parametrize("resend", [False, True])
+def test_intercept_tables_are_read_only(resend):
+    classes, mean, var, _ = adversary._intercept_tables(0.3, 0.7, resend,
+                                                        40, 10)
+    arrays = [mean, var, *(a for cls in classes
+                           for a in (cls.rows, cls.mix, cls.flip))]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("resend", [False, True])
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_intercept_report_after_cache_clear_is_byte_identical(r, resend):
+    attack = (adversary.alice_intercept_resend if resend
+              else adversary.alice_intercept)
+    p = params(m=3, n=400, bs=optics.BeamSplitter(r, 1.0 - r))
+
+    def report():
+        return json.dumps(attack(100, p, substream(67, 0),
+                                 alter_trials=500).to_dict(), sort_keys=True)
+
+    adversary._intercept_tables.cache_clear()
+    fresh = report()
+    cached = report()
+    assert adversary._intercept_tables.cache_info().hits >= 1
+    adversary._intercept_tables.cache_clear()
+    assert report() == cached == fresh
+
+
+def test_fraction_and_float_mirrors_get_separate_entries():
+    # Equal mirrors that hash the same, with different mixtures.
+    exact = optics.BeamSplitter(Fraction(1, 2), Fraction(1, 2))
+    assert exact == BALANCED and hash(exact) == hash(BALANCED)
+    adversary._intercept_tables.cache_clear()
+    tables = [adversary._intercept_tables(bs.r, bs.t, True, 40, 10)
+              for bs in (exact, BALANCED)]
+    assert adversary._intercept_tables.cache_info().currsize == 2
+    assert [t[0][1].mix.dtype for t in tables] == [np.dtype(object),
+                                                  np.dtype(np.float64)]
+    # The float mirror's report is the one an uncached build gives.
+    report = adversary.alice_intercept_resend(10, params(n=40),
+                                              substream(68, 0))
+    _, mean, _, p_model = adversary._intercept_tables.__wrapped__(
+        0.5, 0.5, True, 40, 10)
+    assert report.expected == dict(zip(adversary.DETECTORS, mean.tolist()))
+    assert report.extras["p_alter_model"] == p_model
+
+
+def test_intercept_tables_cache_is_bounded():
+    maxsize = adversary._intercept_tables.cache_info().maxsize
+    assert maxsize is not None
+    for n0 in range(maxsize + 10):
+        adversary.alice_intercept(n0, params(n=200), substream(69, n0))
+    assert adversary._intercept_tables.cache_info().currsize <= maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_commit_deterministic_modulo_timestamp(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("shape, expected", [((), 4.31e-3),
+                                             (("--m", "5", "--n", "32"), 8.0e-4)])
+def test_commit_reports_the_honest_abort(capsys, shape, expected):
+    results = run_json(capsys, "commit", *shape, "--bit", "1")["results"]
+    assert results["honest_abort_probability"] == pytest.approx(expected,
+                                                                rel=2e-3)
+    # The benchmark's abort check reads these two.
+    d2_check = results["summary"]["d2_check"]
+    assert len(d2_check["per_sequence_counts"]) == len(d2_check["passed"])
+
+
 def test_commit_seed_changes_output(capsys):
     a = run_json(capsys, "commit", "--m", "2", "--n", "16", "--bit", "0",
                  "--seed", "6")

@@ -404,6 +404,20 @@ def test_sample_detectors_draws_do_not_depend_on_eq(r):
     assert states[0] == states[1]
 
 
+@pytest.mark.parametrize("r, tied", [(0.5, 0), (0.3, 2), (Fraction(3, 10), 2)])
+def test_sampler_cuts_equal_the_inline_formula(r, tied):
+    bs = optics.BeamSplitter(r, 1 - r)
+    matched = optics.outcome_distribution(0, 0, bs)
+    d1_from = matched[optics.Detector.D0]
+    cuts = [math.ceil(c * 2**53)
+            for c in (d1_from, d1_from + matched[optics.Detector.D1])]
+    assert bs._sampler_cuts == (tuple(cuts),
+                                tuple(-(-k // 2**45) for k in cuts),
+                                tuple(k // 2**45 for k in cuts if k % 2**45))
+    assert len(bs._sampler_cuts[2]) == tied
+    assert bs._sampler_cuts is bs._sampler_cuts   # built once, kept
+
+
 def test_balanced_sampler_draws_one_byte_a_slot():
     rng, expected = substream(27, 0), substream(27, 0)
     optics.sample_detectors(np.ones((64, 130), dtype=bool),

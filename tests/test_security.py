@@ -356,7 +356,8 @@ def test_oracle_properties_over_mirrors(r):
 def test_security_report_contents():
     d = security.security_report(70, 130)
     assert set(d) == {"m", "n", "r", "t", "p", "p_prime", "q",
-                      "binding_advantage", "concealing"}
+                      "binding_advantage", "concealing",
+                      "honest_abort_probability"}
     assert set(d["concealing"]) == {"epsilon", "advantage", "first_order",
                                     "note"}
     assert d["p"] == pytest.approx(0.375)
@@ -366,9 +367,19 @@ def test_security_report_contents():
     assert 0.9e-6 <= d["concealing"]["advantage"] <= 1.1e-6
     import json
     assert json.loads(json.dumps(d, sort_keys=True)) == d
-    for m, n in ((0, 130), (70, 0)):
+    for m, n in ((0, 130), (70, 0), (70, 1)):
         with pytest.raises(ParameterError):
             security.security_report(m, n)
+
+
+@pytest.mark.parametrize("m, n, expected", [(70, 130, 4.31e-3),
+                                            (5, 32, 8.0e-4)])
+def test_security_report_states_the_honest_abort(m, n, expected):
+    d = security.security_report(m, n)
+    assert d["honest_abort_probability"] == pytest.approx(expected, rel=2e-3)
+    assert d["honest_abort_probability"] == protocol.d2_detection_probability(
+        optics.slot_law(optics.BeamSplitter.balanced())[2],
+        protocol.CommitmentParams(m, n))
 
 
 # ---------------------------------------------------------------------------
