@@ -146,8 +146,7 @@ def _alter_success_loop(classes, slots, rng, trials):
     returned too. With no attacked slot this is the alter of an honest
     commit, graded by the protocol's rule without its D2-rate window.
     """
-    successes = 0
-    graded = 0
+    successes = graded = 0
     for chunk in _chunks(trials, sum(len(cls.rows) for cls in classes)):
         # Per trial: its candidate slots and its unflagged candidate slots.
         candidates, good = sum(rng.multinomial(k, cls.mix, chunk) @ cls.flip
@@ -232,24 +231,25 @@ def resend_alter_probability(n: int, n0_resend: int) -> float:
     return 5 * n / (6 * n + 4 * n0_resend)
 
 
-@functools.lru_cache(maxsize=64, typed=True)
-def _intercept_tables(r, t, resend, n, n0):
+@functools.lru_cache(maxsize=64)
+def _intercept_tables(bs, resend, n, n0):
     """The slot classes of an intercept attack on n0 of n slots, the mean
     and the variance of one sequence's click totals, and p_alter_model.
 
     None of it depends on the draws, so a workload that repeats an attack
-    builds it once. The key is the mirror's fields, typed: a Fraction
-    mirror equals the float one but its mixture is exact (object, not
-    float64), so the two never share an entry. Every array is read-only.
+    builds it once. It reads the mirror's float values, so equal mirrors,
+    exact or not, build equal float64 tables and share an entry. Every
+    array is read-only.
     """
-    classes = _slot_classes(optics.BeamSplitter(r, t), resend)
+    classes = _slot_classes(
+        optics.BeamSplitter(float(bs.r), float(bs.t)), resend)
     slots = (n - n0, n0)
-    mean = var = 0   # arrays of the mixture's type after the first class
+    mean, var = np.zeros(3), np.zeros(3)
     for cls, k in zip(classes, slots):
         weighted = cls.mix[:, None] * cls.rows
         first = weighted.sum(axis=0)
-        mean = mean + k * first
-        var = var + k * ((weighted * cls.rows).sum(axis=0) - first * first)
+        mean += k * first
+        var += k * ((weighted * cls.rows).sum(axis=0) - first * first)
     mean.flags.writeable = var.flags.writeable = False
     return classes, mean, var, _alter_model_probability(classes, slots)
 
@@ -270,8 +270,8 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     if clicks > np.iinfo(np.int64).max:
         raise ParameterError(
             f"{clicks} clicks in total exceed the int64 limit of 2^63 - 1")
-    classes, mean, var, p_alter_model = _intercept_tables(
-        params.bs.r, params.bs.t, resend, n, n0)
+    classes, mean, var, p_alter_model = _intercept_tables(params.bs, resend,
+                                                          n, n0)
     slots = (n - n0, n0)
     totals = sum(rng.multinomial(params.m * k, cls.mix) @ cls.rows
                  for cls, k in zip(classes, slots))
@@ -365,9 +365,7 @@ def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
     check_draws(runs * m)
-    detected = 0
-    seq_failures = 0
-    d2_clicks = 0
+    detected = seq_failures = d2_clicks = 0
     for chunk in _chunks(runs, m):
         counts = rng.binomial(n, d2_rate, (chunk, m))
         bad = ~protocol.alice_check_d2(counts, params)
@@ -436,19 +434,17 @@ def bob_illegal_polarization(
     check_draws(runs)
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
-    slot = optics.slot_law(params.bs)
+    slot = [float(prob) for prob in optics.slot_law(params.bs)]
     totals = np.zeros(len(DETECTORS), dtype=np.int64)
     for chunk in _chunks(runs, len(DETECTORS)):
         totals += rng.multinomial(m * n, slot, chunk).sum(axis=0)
     _, d1_clicks, d2_clicks = totals.tolist()
     # Bob confirms on D1 or an inferred D2.
     _, d1, d2_rate = slot
-    confirm_rate = d1 + d2_rate
     return AttackReport(
         strategy="bob-illegal-polarization",
-        params={"n": params.n, "m": params.m, "prob_v": pol.prob_v,
-                "runs": runs},
-        expected={"confirmation_rate": confirm_rate, "d2_slot_rate": d2_rate},
+        params={"n": n, "m": m, "prob_v": pol.prob_v, "runs": runs},
+        expected={"confirmation_rate": d1 + d2_rate, "d2_slot_rate": d2_rate},
         empirical={"confirmation_rate": (d1_clicks + d2_clicks)
                    / (runs * m * n),
                    "d2_slot_rate": d2_clicks / (runs * m * n)},

@@ -130,7 +130,7 @@ def _commitment_params(args):
 
 
 def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
-    from . import optics, protocol
+    from . import protocol
     params = _commitment_params(args)
     transcript = protocol.run_commit_phase(params, b=args.bit)
     opening = transcript.honest_opening()
@@ -147,9 +147,7 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
         "summary": transcript.summary(),
         "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},
         "committed_bit": int(transcript.committed_bit),
-        # The chance that an honest run trips Alice's D2-rate check.
-        "honest_abort_probability": protocol.d2_detection_probability(
-            float(optics.slot_law(params.bs)[2]), params),
+        "honest_abort_probability": protocol.honest_abort_probability(params),
     }
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 

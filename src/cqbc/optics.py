@@ -322,7 +322,7 @@ def sample_detectors(
     """
     eq = np.asarray(eq, dtype=bool)
     cuts, first, ties = bs._sampler_cuts
-    high = _uniform_bytes(rng, eq.size).reshape(eq.shape)
+    high = _uniform_bytes(rng, eq.size)   # flat: 0-d compares give scalars
     # A byte at or past ceil(K / 2^45) reaches K whatever its low bits.
     det = (high >= first[0]).view(np.int8)
     det += (high >= first[1]).view(np.int8)
@@ -331,8 +331,8 @@ def sample_detectors(
         k = high[tied].astype(np.int64) << 45
         k += rng.integers(0, 1 << 45, k.size)
         det[tied] = np.add(*((k >= c).view(np.int8) for c in cuts))
-    det *= eq
-    return det
+    det *= eq.ravel()
+    return det.reshape(eq.shape)
 
 
 def phase_check(bs: BeamSplitter) -> float:

@@ -237,6 +237,12 @@ def d2_detection_probability(p_slot: float, params: CommitmentParams) -> float:
     return -math.expm1(params.m * math.log1p(-fail))
 
 
+def honest_abort_probability(params: CommitmentParams) -> float:
+    """The chance that an honest run trips Alice's D2-rate check."""
+    return d2_detection_probability(float(optics.slot_law(params.bs)[2]),
+                                    params)
+
+
 @functools.lru_cache(maxsize=256)
 def _sequence_fail(p_slot: float, n: int, window: range) -> float:
     """Binomial(n, p_slot) mass outside the window: one sequence's chance

@@ -263,8 +263,8 @@ def security_report(m: int, n: int,
     return {
         "m": m,
         "n": n,
-        "r": bs.r,
-        "t": bs.t,
+        "r": float(bs.r),
+        "t": float(bs.t),
         "p": float(probs.p),
         "p_prime": float(probs.p_prime),
         "q": float(probs.q),
@@ -275,6 +275,5 @@ def security_report(m: int, n: int,
             "first_order": concealing.first_order,
             "note": concealing.factor_two_note,
         },
-        "honest_abort_probability": protocol.d2_detection_probability(
-            float(optics.slot_law(bs)[2]), params),
+        "honest_abort_probability": protocol.honest_abort_probability(params),
     }

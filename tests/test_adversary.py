@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqbc import adversary, optics, protocol
+from cqbc import adversary, optics, protocol, security
 from cqbc import rng as rng_module
 from cqbc.errors import AttackImpossibleError, ParameterError
 from cqbc.rng import substream
@@ -394,8 +394,8 @@ def test_intercept_model_is_none_without_flippable_slot():
 
 @pytest.mark.parametrize("resend", [False, True])
 def test_intercept_tables_are_read_only(resend):
-    classes, mean, var, _ = adversary._intercept_tables(0.3, 0.7, resend,
-                                                        40, 10)
+    classes, mean, var, _ = adversary._intercept_tables(
+        optics.BeamSplitter(0.3, 0.7), resend, 40, 10)
     arrays = [mean, var, *(a for cls in classes
                            for a in (cls.rows, cls.mix, cls.flip))]
     for array in arrays:
@@ -422,23 +422,46 @@ def test_intercept_report_after_cache_clear_is_byte_identical(r, resend):
     assert report() == cached == fresh
 
 
-def test_fraction_and_float_mirrors_get_separate_entries():
-    # Equal mirrors that hash the same, with different mixtures.
-    exact = optics.BeamSplitter(Fraction(1, 2), Fraction(1, 2))
-    assert exact == BALANCED and hash(exact) == hash(BALANCED)
+EXACT = optics.BeamSplitter(Fraction(1, 2), Fraction(1, 2))
+
+
+def _sampled_reports(bs):
+    """Every sampled report on the mirror bs, as the JSON a report prints."""
+    p = params(m=3, n=40, bs=bs)
+    attacks = [
+        adversary.alice_intercept(10, p, substream(68, 0), alter_trials=200),
+        adversary.alice_intercept_resend(10, p, substream(68, 1),
+                                         alter_trials=200),
+        adversary.bob_illegal_bs(0.75, p, substream(68, 2), runs=100),
+        adversary.bob_multiphoton(2, p, substream(68, 3), runs=100),
+        adversary.bob_illegal_polarization(optics.PLUS, p, substream(68, 4),
+                                           runs=10),
+    ]
+    reports = [*(attack.to_dict() for attack in attacks),
+               protocol.run_commit_phase(p, b=1).summary(),
+               security.security_report(70, 130, bs),
+               security.concealing_tv_monte_carlo(3, bs, 2000,
+                                                  substream(68, 5))]
+    return [json.dumps(report, sort_keys=True) for report in reports]
+
+
+@pytest.mark.parametrize("order", [(EXACT, BALANCED), (BALANCED, EXACT)],
+                         ids=["exact-first", "float-first"])
+def test_exact_mirror_reports_equal_the_float_ones(order):
+    # The attacks and the reports read a mirror's float values, so a
+    # Fraction mirror runs every attack and reports what the equal float
+    # mirror reports.
+    assert EXACT == BALANCED and hash(EXACT) == hash(BALANCED)
     adversary._intercept_tables.cache_clear()
-    tables = [adversary._intercept_tables(bs.r, bs.t, True, 40, 10)
-              for bs in (exact, BALANCED)]
-    assert adversary._intercept_tables.cache_info().currsize == 2
-    assert [t[0][1].mix.dtype for t in tables] == [np.dtype(object),
-                                                  np.dtype(np.float64)]
-    # The float mirror's report is the one an uncached build gives.
-    report = adversary.alice_intercept_resend(10, params(n=40),
-                                              substream(68, 0))
-    _, mean, _, p_model = adversary._intercept_tables.__wrapped__(
-        0.5, 0.5, True, 40, 10)
-    assert report.expected == dict(zip(adversary.DETECTORS, mean.tolist()))
-    assert report.extras["p_alter_model"] == p_model
+    first, second = (_sampled_reports(bs) for bs in order)
+    assert first == second
+    # Equal mirrors share one float64 entry per attack, in either order.
+    adversary._intercept_tables.cache_clear()
+    for bs in order:
+        adversary.alice_intercept(10, params(n=40, bs=bs), substream(69, 0))
+    assert adversary._intercept_tables.cache_info().currsize == 1
+    classes = adversary._intercept_tables(EXACT, False, 40, 10)[0]
+    assert [cls.mix.dtype for cls in classes] == [np.dtype(np.float64)] * 2
 
 
 def test_intercept_tables_cache_is_bounded():
@@ -636,6 +659,18 @@ def test_bob_multiphoton_detected():
     assert report.detection_probability > 0.95
     with pytest.raises(ParameterError):
         adversary.bob_multiphoton(1, p, substream(48, 1))
+
+
+def test_two_photons_report_what_a_three_quarter_mirror_does():
+    # At r = 1/2 two photons are captured with 1 - (1/2)^2 = 3/4, what a
+    # mirror of t' = 3/4 captures one with, so both slots click D2 at 3/8.
+    p = protocol.CommitmentParams(m=70, n=130)
+    swapped = adversary.bob_illegal_bs(0.75, p, substream(48, 2), runs=10)
+    loaded = adversary.bob_multiphoton(2, p, substream(48, 3), runs=10)
+    assert swapped.expected["d2_slot_rate"] == 0.375
+    assert loaded.expected["d2_slot_rate"] == 0.375
+    assert (swapped.detection_probability_analytic
+            == loaded.detection_probability_analytic)
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5])

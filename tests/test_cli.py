@@ -729,6 +729,7 @@ def test_each_failure_class_has_its_code_and_prefix(capsys, tmp_path, argv,
 @pytest.mark.parametrize("config, message", [
     ({"bogus": 1, "m": 2.5}, "config key 'bogus' is no option"),
     ({"m": 2.5, "bogus": 1}, "config value 2.5 does not fit option 'm'"),
+    ([1], "config file must hold a JSON object"),
 ])
 def test_config_file_error_names_its_first_bad_key(capsys, tmp_path, config,
                                                    message):

@@ -404,6 +404,22 @@ def test_sample_detectors_draws_do_not_depend_on_eq(r):
     assert states[0] == states[1]
 
 
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("shape", [(), (1,), (2, 3)])
+def test_sample_detectors_keeps_the_shape_of_eq(r, shape):
+    # A 0-d eq gets a 0-d int8 array, not a scalar, from the draws of the
+    # equal flat call; at r = 0.3 the tied-byte branch runs too.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    eq = (np.arange(math.prod(shape)) % 3 != 1).reshape(shape)
+    rng, flat_rng = substream(28, len(shape)), substream(28, len(shape))
+    det = optics.sample_detectors(eq, bs, rng)
+    flat = optics.sample_detectors(eq.ravel(), bs, flat_rng)
+    assert isinstance(det, np.ndarray)
+    assert det.dtype == np.int8 and det.shape == shape
+    assert np.array_equal(det.ravel(), flat)
+    assert rng.bit_generator.state == flat_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("r, tied", [(0.5, 0), (0.3, 2), (Fraction(3, 10), 2)])
 def test_sampler_cuts_equal_the_inline_formula(r, tied):
     bs = optics.BeamSplitter(r, 1 - r)

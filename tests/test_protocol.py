@@ -33,6 +33,14 @@ def test_params_validation():
     for sigma in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             protocol.CommitmentParams(m=3, n=16, d2_check_sigma=sigma)
+    with pytest.raises(ParameterError):
+        protocol.alice_generate(0, 3, 1, substream(0, 0))
+
+
+@pytest.mark.parametrize("p_slot", [-0.1, 1.1, math.nan])
+def test_d2_detection_probability_refuses_a_rate_outside_0_1(p_slot):
+    with pytest.raises(ParameterError):
+        protocol.d2_detection_probability(p_slot, make_params())
 
 
 @given(b=st.integers(0, 1), m=st.integers(1, 8), n=st.integers(2, 24),

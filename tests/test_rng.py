@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cqbc.errors import ParameterError
 from cqbc.rng import _uniform_bytes, substream
+
+
+def test_negative_master_seed_is_refused():
+    with pytest.raises(ParameterError):
+        substream(-1)
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 65535])
