@@ -17,7 +17,7 @@ of the classes (`p_alter_model`) next to the paper's formula.
 
 Bob's attacks are sampled as counts too. Alice's D2-rate check reads only
 each sequence's D2 count, a binomial with the reported per-slot rate, and
-a polarization attack only a run's click totals, one multinomial draw.
+a polarization attack only its click totals over all runs, one multinomial.
 """
 
 from __future__ import annotations
@@ -331,6 +331,9 @@ def alice_optimal_alter(
     Per sequence, flips exactly one claimed bit chosen uniformly among the
     slots where Alice's D2 stayed silent (the slots she cannot tell Bob
     confirmed). The claimed D2 record is reported truthfully.
+
+    Optimal only among flips of honestly measured slots: a switch kept
+    closed on one slot per sequence opens either bit (see the README).
     """
     if target_bit == transcript.committed_bit:
         raise ParameterError("target bit equals the committed bit")
@@ -435,10 +438,8 @@ def bob_illegal_polarization(
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
     slot = [float(prob) for prob in optics.slot_law(params.bs)]
-    totals = np.zeros(len(DETECTORS), dtype=np.int64)
-    for chunk in _chunks(runs, len(DETECTORS)):
-        totals += rng.multinomial(m * n, slot, chunk).sum(axis=0)
-    _, d1_clicks, d2_clicks = totals.tolist()
+    # The report reads only the totals over all runs: one multinomial.
+    _, d1_clicks, d2_clicks = rng.multinomial(runs * m * n, slot).tolist()
     # Bob confirms on D1 or an inferred D2.
     _, d1, d2_rate = slot
     return AttackReport(

@@ -92,34 +92,28 @@ def cmd_table1(args) -> tuple[dict, list, list]:
         warnings.append("degenerate beam splitter: analytic columns only "
                         "partially testable")
 
-    cases = {}
+    header = ["case", "detector", "analytic", "empirical", "deviation",
+              "tolerance", "pass"]
     rows = []
-    all_pass = True
     for label, b_bit in (("a_eq_b", 0), ("a_neq_b", 1)):   # Alice's bit 0
         analytic = optics.outcome_distribution(0, b_bit, bs)
         counts = dict.fromkeys(optics.Detector, 0)
         for _ in range(args.trials):
             counts[optics.run_slot(0, b_bit, bs, rng).detector] += 1
-        cells = {}
         for det in optics.Detector:
             p = analytic[det]
             freq = counts[det] / args.trials
             # 4-sigma binomial window; degenerate cells demand exactness.
             tol = 4.0 * math.sqrt(p * (1 - p) / args.trials)
-            ok = abs(freq - p) <= tol
-            all_pass &= ok
-            cells[det.value] = {
-                "analytic": p,
-                "empirical": freq,
-                "deviation": freq - p,
-                "tolerance": tol,
-                "pass": ok,
-            }
-            rows.append([label, det.value, p, freq, freq - p, tol, ok])
-        cases[label] = cells
-    results = {"cases": cases, "all_pass": all_pass, "warnings": warnings}
-    header = ["case", "detector", "analytic", "empirical", "deviation",
-              "tolerance", "pass"]
+            rows.append([label, det.value, p, freq, freq - p, tol,
+                         abs(freq - p) <= tol])
+    # The JSON cells are the CSV rows, keyed by case and detector.
+    cases = {}
+    for row in rows:
+        cell = dict(zip(header, row))
+        cases.setdefault(cell.pop("case"), {})[cell.pop("detector")] = cell
+    results = {"cases": cases, "all_pass": all(row[-1] for row in rows),
+               "warnings": warnings}
     return results, rows, header
 
 

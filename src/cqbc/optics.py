@@ -71,8 +71,10 @@ class BeamSplitter:
             raise ParameterError(f"r + t = {self.r + self.t} != 1")
 
     @classmethod
+    @functools.cache
     def balanced(cls) -> "BeamSplitter":
-        """The honest half-transparent, half-reflecting mirror."""
+        """The honest half-transparent, half-reflecting mirror: one shared
+        value, so its cached tables are built once."""
         return cls(0.5, 0.5)
 
     @classmethod
@@ -92,11 +94,10 @@ class BeamSplitter:
         """sample_detectors' integer cuts K = ceil(c * 2^53) for c = r^2 and
         r^2 + rt, the first top byte that reaches each whatever its low
         bits, ceil(K / 2^45), and the top bytes that tie a K with nonzero
-        low bits. Built on first use and kept on the mirror."""
-        matched = outcome_distribution(0, 0, self)
-        d1_from = matched[Detector.D0]
-        cuts = tuple(math.ceil(c * (1 << 53))
-                     for c in (d1_from, d1_from + matched[Detector.D1]))
+        low bits. Built on first use and kept on the mirror, from its float
+        values, so equal mirrors, exact or not, sample alike."""
+        r, t = float(self.r), float(self.t)
+        cuts = tuple(math.ceil(c * (1 << 53)) for c in (r * r, r * r + r * t))
         return (cuts, tuple(-(-k >> 45) for k in cuts),
                 tuple(k >> 45 for k in cuts if k % (1 << 45)))
 

@@ -41,15 +41,16 @@ MAX_ITEM_SLOTS = 1 << 22
 
 # Most Monte Carlo draws one call may make: 2 * trials slots for table1's
 # per-slot loop, runs * m D2 counts for bob-bs and bob-multiphoton, runs
-# for bob-polarization (one multinomial a run), and alter trials for the
-# intercept attacks and alice-alter. Memory stays bounded at any count, but
-# time does not, so a larger request is refused before anything is drawn.
-# The slowest paths, table1's loop and the resend alter trials, take about
-# 1 us a draw: 27 s and 36 s at this limit (2 CPUs, Python 3.11).
+# for bob-polarization (though its runs share one multinomial draw), and
+# alter trials for the intercept attacks and alice-alter. Memory stays
+# bounded at any count, but time does not, so a larger request is refused
+# before anything is drawn. The slowest paths, table1's loop and the resend
+# alter trials, take about 1 us a draw: 27 s and 36 s at this limit (2 CPUs,
+# Python 3.11).
 MAX_CALL_DRAWS = 1 << 25
 
-# Slots (or counts: of table rows in an intercept alter trial, of D2 clicks
-# or click totals in a Bob run) one Monte Carlo chunk may hold. Batched
+# Slots (or counts: of table rows in an intercept alter trial, of D2 counts
+# in a Bob run) one Monte Carlo chunk may hold. Batched
 # samplers draw whole chunks one after another from the caller's Generator,
 # so a run's draws depend on this size; it is fixed, so equal seeds still
 # give equal results.

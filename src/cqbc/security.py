@@ -13,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -130,7 +129,7 @@ class ParamSearchResult:
 def choose_parameters(
     target_binding: float,
     target_concealing: float,
-    bs: Optional[optics.BeamSplitter] = None,
+    bs: optics.BeamSplitter = optics.BeamSplitter.balanced(),
     max_m: int = 100_000,
     max_n: int = 1_000_000,
 ) -> ParamSearchResult:
@@ -141,7 +140,6 @@ def choose_parameters(
     rows at most."""
     if not (0.0 < target_binding <= 1.0 and 0.0 < target_concealing <= 1.0):
         raise ParameterError("targets must lie in (0, 1]")
-    bs = bs or optics.BeamSplitter.balanced()
     ratio, log_pp = _floats(comparison_probs(bs))
     trace: list = []
     m = _first_meeting("binding", "m", 1, max_m, target_binding,
@@ -223,12 +221,13 @@ def _tv(law: np.ndarray) -> float:
 
 
 def concealing_oracle_bruteforce(
-        n: int, bs: Optional[optics.BeamSplitter] = None) -> float:
+        n: int, bs: optics.BeamSplitter = optics.BeamSplitter.balanced()
+) -> float:
     """Exact total-variation distance between Bob's view distributions
     conditioned on the two commitment values, by full enumeration."""
     if not 2 <= n <= 4:
         raise ParameterError("brute-force oracle supports 2 <= n <= 4 only")
-    return _tv(_view_law(n, bs or optics.BeamSplitter.balanced()))
+    return _tv(_view_law(n, bs))
 
 
 def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
@@ -249,13 +248,13 @@ def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
 # Aggregate report
 # ---------------------------------------------------------------------------
 
-def security_report(m: int, n: int,
-                    bs: Optional[optics.BeamSplitter] = None) -> dict:
+def security_report(
+        m: int, n: int,
+        bs: optics.BeamSplitter = optics.BeamSplitter.balanced()) -> dict:
     """Analytic security summary for one (m, n, beam splitter) choice, as
     the plain values a report holds: each advantage as choose_parameters
     evaluates it, and the chance that an honest run trips Alice's D2-rate
     check at the default window. m and n are refused as a commit's are."""
-    bs = bs or optics.BeamSplitter.balanced()
     params = protocol.CommitmentParams(m, n, bs)
     probs = comparison_probs(bs)
     ratio, log_pp = _floats(probs)

@@ -383,6 +383,19 @@ def test_alter_model_probability_at_paper_scale():
                                                            abs=5e-9)
 
 
+@pytest.mark.parametrize("r", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n", [2, 32, 130, 10_000])
+def test_alter_model_at_no_intercept_is_the_exact_binding_ratio(r, n):
+    # With no slot intercepted the classes are the honest commit, whose
+    # alter success is (1 - p)/(1 - q) of the exact layer at any n.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    report = adversary.alice_intercept(0, params(n=n, bs=bs),
+                                       substream(72, n))
+    probs = security.comparison_probs(bs)
+    assert report.extras["p_alter_model"] == pytest.approx(
+        float((1 - probs.p) / (1 - probs.q)), rel=0.0, abs=1e-15)
+
+
 def test_intercept_model_is_none_without_flippable_slot():
     # At r = 0 every attacked slot clicks D2, so with n0 = n nothing can be
     # flipped; the report still carries its totals.
@@ -703,6 +716,21 @@ def test_bob_illegal_polarization_gains_nothing():
     assert report.empirical["d2_slot_rate"] == pytest.approx(0.25, abs=0.01)
 
 
+def test_bob_polarization_draws_its_totals_once():
+    # The report reads only the click totals over all runs, so the runs
+    # are one multinomial draw, and time does not grow with them.
+    p = protocol.CommitmentParams(m=70, n=130)
+    runs = 1 << 22
+    rng, expected = substream(73, 0), substream(73, 0)
+    report = adversary.bob_illegal_polarization(optics.PLUS, p, rng, runs)
+    slots = runs * p.m * p.n
+    law = [float(prob) for prob in optics.slot_law(p.bs)]
+    _, d1, d2 = expected.multinomial(slots, law).tolist()
+    assert report.empirical == {"confirmation_rate": (d1 + d2) / slots,
+                                "d2_slot_rate": d2 / slots}
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Bob: count draws against the per-slot sampler they replace
 # ---------------------------------------------------------------------------
@@ -809,8 +837,9 @@ def test_bob_attack_memory_holds_counts_not_slots(attack):
 
 
 # Each Monte Carlo call with its draws per count: runs * m D2 counts for
-# bob-bs and bob-multiphoton, one multinomial a run for bob-polarization,
-# one draw an alter trial for the intercept attacks.
+# bob-bs and bob-multiphoton, one count a run for bob-polarization (whose
+# runs share one multinomial), one draw an alter trial for the intercept
+# attacks.
 @pytest.mark.parametrize("attack, per_count", [
     (lambda p, rng, k: adversary.bob_illegal_bs(0.8, p, rng, runs=k), 7),
     (lambda p, rng, k: adversary.bob_multiphoton(2, p, rng, runs=k), 7),

@@ -423,7 +423,9 @@ def test_sample_detectors_keeps_the_shape_of_eq(r, shape):
 @pytest.mark.parametrize("r, tied", [(0.5, 0), (0.3, 2), (Fraction(3, 10), 2)])
 def test_sampler_cuts_equal_the_inline_formula(r, tied):
     bs = optics.BeamSplitter(r, 1 - r)
-    matched = optics.outcome_distribution(0, 0, bs)
+    # The cuts come from the mirror's float values, exact mirror or not.
+    matched = optics.outcome_distribution(
+        0, 0, optics.BeamSplitter(float(bs.r), float(bs.t)))
     d1_from = matched[optics.Detector.D0]
     cuts = [math.ceil(c * 2**53)
             for c in (d1_from, d1_from + matched[optics.Detector.D1])]
@@ -432,6 +434,19 @@ def test_sampler_cuts_equal_the_inline_formula(r, tied):
                                 tuple(k // 2**45 for k in cuts if k % 2**45))
     assert len(bs._sampler_cuts[2]) == tied
     assert bs._sampler_cuts is bs._sampler_cuts   # built once, kept
+
+
+def test_equal_mirrors_sample_alike():
+    # Every sampler reads the mirror's floats, so an exact mirror has the
+    # cuts and the draws of the equal float mirror.
+    eq = np.ones(512, dtype=bool)
+    for i, r in enumerate(np.random.default_rng(29).random(2000).tolist()):
+        exact = optics.BeamSplitter(Fraction(r), Fraction(1 - r))
+        floating = optics.BeamSplitter(r, 1 - r)
+        assert exact._sampler_cuts == floating._sampler_cuts, r
+        assert np.array_equal(
+            optics.sample_detectors(eq, exact, substream(29, i)),
+            optics.sample_detectors(eq, floating, substream(29, i))), r
 
 
 def test_balanced_sampler_draws_one_byte_a_slot():

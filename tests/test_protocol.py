@@ -296,6 +296,34 @@ def test_flip_on_d0_slot_with_bit_change_accepted():
     assert protocol.bob_verify_opening(t, opening)
 
 
+def test_closed_switch_slot_opens_either_bit():
+    # A switch open at no bin measures nothing: the photon returns whole
+    # and gives D0 whatever Bob's bit, as a mismatched slot does.
+    for pol in (optics.H, optics.V):
+        _, survivor = optics.apply_switch(
+            optics.bs_forward(pol, optics.BeamSplitter.balanced()), set())
+        p_d0, _ = optics.bs_return(survivor, optics.BeamSplitter.balanced())
+        assert p_d0 == pytest.approx(1.0, rel=0.0, abs=1e-12)
+    # Bob neither confirms a D0 slot nor checks its claim, so a closed
+    # switch on slot 0 of every sequence lets Alice fix each sequence's
+    # parity there and open either bit through the real verifier.
+    opened = 0
+    for seed in range(200):
+        honest = committed_transcript(seed=seed, b=1, m=5, n=32)
+        detectors = honest.detectors.copy()
+        detectors[:, 0] = 0
+        t = dataclasses.replace(honest, detectors=detectors)
+        if t.phase == protocol.PHASE_ABORTED:
+            continue
+        opened += 1
+        for bit in (0, 1):
+            claimed = t.alice_bits.copy()
+            claimed[:, 0] ^= np.bitwise_xor.reduce(claimed, axis=1) ^ bit
+            opening = protocol.OpeningMessage(bit, claimed, t.d2_inferred())
+            assert protocol.bob_verify_opening(t, opening), (seed, bit)
+    assert opened >= 190
+
+
 def test_claims_that_are_not_bits_rejected():
     # Each claim reduces to the honest one under a uint8 cast or `& 1`.
     t = committed_transcript(seed=3, b=1, m=5, n=32)

@@ -1,6 +1,7 @@
 """Closed-form security quantities, the brute-force concealing oracle, and
 the parameter solver."""
 
+import inspect
 import math
 import re
 import tracemalloc
@@ -22,6 +23,15 @@ BALANCED = optics.BeamSplitter.balanced()
 # ---------------------------------------------------------------------------
 # per-slot channel probabilities
 # ---------------------------------------------------------------------------
+
+def test_default_mirror_is_the_one_balanced_mirror():
+    # One shared value, so its cached tables are built once.
+    assert BALANCED is optics.BeamSplitter.balanced()
+    assert protocol.CommitmentParams(m=1, n=2).bs is BALANCED
+    for function in (security.choose_parameters, security.security_report,
+                     security.concealing_oracle_bruteforce):
+        assert inspect.signature(function).parameters["bs"].default is BALANCED
+
 
 def test_comparison_probs_balanced_exact():
     probs = security.comparison_probs(BALANCED)
