@@ -3,6 +3,9 @@ protocol built on a single-photon interferometer comparison channel.
 
 `import cqbc` loads no submodule: a top-level name imports its home module
 on first use, and each `cqbc` subcommand imports only the modules it runs.
+numpy loads only with `adversary` or inside a function that uses it, so
+the exact layer (`params`, `security`'s formulas and solver) and `--help`
+run without it.
 """
 
 from importlib import import_module

@@ -434,19 +434,22 @@ def bob_illegal_polarization(
         raise ParameterError("runs must be >= 1")
     m, n = params.m, params.n
     check_item_slots(m * n)   # the documented limit on one run
-    check_draws(runs)
+    # No draw limit: the runs share one multinomial, whose total is int64.
+    slots = runs * m * n
+    if slots > np.iinfo(np.int64).max:
+        raise ParameterError(
+            f"{slots} slots in total exceed the int64 limit of 2^63 - 1")
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
     slot = [float(prob) for prob in optics.slot_law(params.bs)]
     # The report reads only the totals over all runs: one multinomial.
-    _, d1_clicks, d2_clicks = rng.multinomial(runs * m * n, slot).tolist()
+    _, d1_clicks, d2_clicks = rng.multinomial(slots, slot).tolist()
     # Bob confirms on D1 or an inferred D2.
     _, d1, d2_rate = slot
     return AttackReport(
         strategy="bob-illegal-polarization",
         params={"n": n, "m": m, "prob_v": pol.prob_v, "runs": runs},
         expected={"confirmation_rate": d1 + d2_rate, "d2_slot_rate": d2_rate},
-        empirical={"confirmation_rate": (d1_clicks + d2_clicks)
-                   / (runs * m * n),
-                   "d2_slot_rate": d2_clicks / (runs * m * n)},
+        empirical={"confirmation_rate": (d1_clicks + d2_clicks) / slots,
+                   "d2_slot_rate": d2_clicks / slots},
     )

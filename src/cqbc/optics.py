@@ -34,8 +34,6 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ContractViolationError, ParameterError
 from .rng import _uniform_bytes
 
@@ -321,6 +319,7 @@ def sample_detectors(
     one word in C order that both cuts share. At the balanced mirror no K
     has low bits, so a slot costs one byte. The draws do not depend on eq.
     """
+    import numpy as np
     eq = np.asarray(eq, dtype=bool)
     cuts, first, ties = bs._sampler_cuts
     high = _uniform_bytes(rng, eq.size)   # flat: 0-d compares give scalars

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import optics
 from .errors import ParameterError
 from .rng import (DEFAULT_SEED, _chunks, _uniform_bytes, check_item_slots,
@@ -58,6 +56,7 @@ def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     random byte: a per-bit bounded draw costs several times as much. The
     bytes come eight to a 64-bit word in a pinned order (_uniform_bytes),
     so the bits do not depend on the machine's byte order."""
+    import numpy as np
     size = m * n
     random_bytes = _uniform_bytes(rng, (size + 7) // 8)
     return np.unpackbits(random_bytes, count=size).reshape(m, n)
@@ -66,6 +65,7 @@ def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def alice_generate(b: int, m: int, n: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
+    import numpy as np
     if n < 2:
         raise ParameterError("n must be >= 2")
     bits = _fair_bits(m, n, rng)
@@ -153,6 +153,7 @@ class CommitmentTranscript:
         a = 1 (bins 0 and 1, so the bin is her bit); a D0 or D1 click in
         the return bin. Rows are built a block of whole sequences at a
         time, so their cost per slot does not depend on the shape."""
+        import numpy as np
         n = self.params.n
         labels = [detector.value for detector in optics.Detector]
         start = 0
@@ -170,6 +171,7 @@ class CommitmentTranscript:
             start += rows
 
     def summary(self) -> dict:
+        import numpy as np
         m, n = self.params.m, self.params.n
         total = m * n
         clicks = np.bincount(self.detectors.ravel(), minlength=3)
@@ -320,6 +322,7 @@ def bob_verify_opening(
     and (3) Alice's claimed D2 record matches Bob's no-click inference
     exactly.
     """
+    import numpy as np
     if transcript.phase == PHASE_ABORTED:
         return VerifyResult(False, "aborted")
     shape = (transcript.params.m, transcript.params.n)

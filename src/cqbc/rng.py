@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-import numpy as np
-
 from .errors import ParameterError
 
 # Fixed documented default seed for CLI reproducibility.
@@ -25,6 +23,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     (sequence index, slot index, photon index). A negative master seed is
     a ParameterError.
     """
+    import numpy as np
     if master_seed < 0:
         raise ParameterError(f"seed {master_seed} must be >= 0")
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
@@ -40,9 +39,9 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 MAX_ITEM_SLOTS = 1 << 22
 
 # Most Monte Carlo draws one call may make: 2 * trials slots for table1's
-# per-slot loop, runs * m D2 counts for bob-bs and bob-multiphoton, runs
-# for bob-polarization (though its runs share one multinomial draw), and
-# alter trials for the intercept attacks and alice-alter. Memory stays
+# per-slot loop, runs * m D2 counts for bob-bs and bob-multiphoton, and
+# alter trials for the intercept attacks and alice-alter. bob-polarization
+# is not limited: its runs share one multinomial draw. Memory stays
 # bounded at any count, but time does not, so a larger request is refused
 # before anything is drawn. The slowest paths, table1's loop and the resend
 # alter trials, take about 1 us a draw: 27 s and 36 s at this limit (2 CPUs,
@@ -61,6 +60,7 @@ def _uniform_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
     """`size` uniform uint8 values, eight from each full-range 64-bit word
     (a uint8 draw costs about 2.5 times as much). Byte i of word w is
     (w >> 8i) & 0xFF on every machine, whatever its byte order."""
+    import numpy as np
     words = rng.integers(0, 1 << 64, (size + 7) // 8, dtype=np.uint64)
     return words.astype("<u8", copy=False).view(np.uint8)[:size]
 

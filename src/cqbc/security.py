@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import optics, protocol
 from .errors import InfeasibleTargetError, ParameterError
 from .rng import _chunks
@@ -181,6 +179,7 @@ def _first_meeting(target_name, parameter, first, last, target, advantage,
 
 def _view_law(n: int, bs: optics.BeamSplitter) -> np.ndarray:
     """The law, by enumerating Alice's strings; exact for a Fraction mirror."""
+    import numpy as np
     # The n-fold outer product with Alice's axes first, flattened: row
     # Alice's string, column the view, slot 1 most significant in both.
     table = functools.reduce(np.kron, [np.array(optics.view_channel(bs))] * n)
@@ -193,6 +192,7 @@ def _view_law(n: int, bs: optics.BeamSplitter) -> np.ndarray:
 def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Frequencies of the views in `samples` transcripts per committed bit."""
+    import numpy as np
     n_views = 6 ** n
     # The narrowest unsigned type that holds every index: uint8 up to
     # n = 3, uint16 up to 6, uint32 beyond. Every partial index is below
@@ -217,6 +217,7 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
 
 def _tv(law: np.ndarray) -> float:
     """Total-variation distance between the two rows of a view law."""
+    import numpy as np
     return 0.5 * float(np.abs(law[0] - law[1]).sum())
 
 

@@ -381,8 +381,6 @@ def test_oversized_attack_is_refused_before_allocating(capsys, argv):
      "--runs", str(2**63 - 1)),
     ("attack", "--strategy", "bob-multiphoton", "--runs",
      str(MAX_CALL_DRAWS // 70 + 1)),
-    ("attack", "--strategy", "bob-polarization", "--runs",
-     str(MAX_CALL_DRAWS + 1)),
     ("attack", "--strategy", "alice-alter", "--m", "1", "--n", "32",
      "--trials", str(MAX_CALL_DRAWS + 1)),
     ("attack", "--strategy", "alice-intercept", "--m", "1", "--n", "100",
@@ -395,6 +393,19 @@ def test_counts_past_the_draw_limit_are_usage_errors(capsys, argv):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and f"limit of {MAX_CALL_DRAWS}" in err
+
+
+def test_bob_polarization_runs_stop_only_at_int64_slot_totals(capsys):
+    # The runs share one multinomial draw, so no draw limit applies; a slot
+    # total past 2^63 - 1 would overflow it.
+    report = run_json(capsys, "attack", "--strategy", "bob-polarization",
+                      "--runs", str(MAX_CALL_DRAWS + 1))
+    assert report["results"]["params"]["runs"] == MAX_CALL_DRAWS + 1
+    code, out, err = run(capsys, "attack", "--strategy", "bob-polarization",
+                         "--runs", str(2**62))
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "int64" in err
 
 
 # Click totals past 2^63 - 1: the first two overflowed numpy's multinomial
@@ -764,7 +775,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 # The modules a command may leave unloaded, watched in a fresh interpreter.
 _LAZY = ("cqbc.optics", "cqbc.protocol", "cqbc.security", "cqbc.adversary",
-         "numpy.random")
+         "numpy", "numpy.random")
 
 
 def _loaded(probe):
@@ -775,7 +786,8 @@ def _loaded(probe):
 
 
 def test_cli_import_loads_no_layer():
-    assert _loaded("import cqbc.cli") <= {"numpy.random"}
+    assert _loaded("import cqbc.cli") == set()
+    assert "numpy" not in _loaded("import cqbc.security")
 
 
 @pytest.mark.parametrize("argv, unloaded", [
@@ -783,8 +795,9 @@ def test_cli_import_loads_no_layer():
      {"cqbc.protocol", "cqbc.security", "cqbc.adversary"}),
     (["commit", "--bit", "1"], {"cqbc.security", "cqbc.adversary"}),
     (["params", "--target-binding", "3e-6", "--target-concealing", "1.1e-6"],
-     {"cqbc.adversary", "numpy.random"}),
+     {"cqbc.adversary", "numpy", "numpy.random"}),
     (["attack", "--strategy", "bob-bs", "--runs", "10"], {"cqbc.security"}),
+    (["--help"], set(_LAZY)),
 ])
 def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     probe = f"from cqbc import cli\nassert cli.main({argv!r}) == 0"
@@ -824,6 +837,30 @@ def test_cli_runs_without_scipy():
         "                   '--runs', '10'])]\n"
         "print(codes, file=sys.stderr)\n")
     assert _run_python(probe).stderr.strip().splitlines()[-1] == "[0, 0]"
+
+
+def test_cli_runs_without_numpy():
+    # A None entry makes any `import numpy` fail. Nothing here samples:
+    # help, a refused target and the solver's report at the README targets.
+    params = ["params", "--target-binding", "3e-6",
+              "--target-concealing", "1.1e-6"]
+    probe = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from cqbc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['--help']),\n"
+        "             cli.main(['params', '--target-binding', '0',\n"
+        "                       '--target-concealing', '1.1e-6'])]\n"
+        f"codes.append(cli.main({params!r}))\n"
+        "print(codes, file=sys.stderr)\n")
+    result = _run_python(probe)
+    assert "error:" in result.stderr
+    assert result.stderr.strip().splitlines()[-1] == "[0, 2, 0]"
+    report = re.sub(r'^  "generated_at": .*\n', "", result.stdout,
+                    flags=re.M)
+    golden = Path(__file__).parent / "golden" / "params.json"
+    assert report == golden.read_text()
 
 
 # ---------------------------------------------------------------------------
