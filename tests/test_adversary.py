@@ -838,10 +838,13 @@ def test_bob_attack_memory_holds_counts_not_slots(attack):
 
 # Each Monte Carlo call with its draws per count: runs * m D2 counts for
 # bob-bs and bob-multiphoton, one draw an alter trial for the intercept
-# attacks. bob-polarization is not limited: its runs share one multinomial.
+# attacks, the honest commit's (no slot intercepted) among them.
+# bob-polarization is not limited: its runs share one multinomial.
 @pytest.mark.parametrize("attack, per_count", [
     (lambda p, rng, k: adversary.bob_illegal_bs(0.8, p, rng, runs=k), 7),
     (lambda p, rng, k: adversary.bob_multiphoton(2, p, rng, runs=k), 7),
+    (lambda p, rng, k: adversary.alice_intercept(0, p, rng,
+                                                 alter_trials=k), 1),
     (lambda p, rng, k: adversary.alice_intercept(10, p, rng,
                                                  alter_trials=k), 1),
     (lambda p, rng, k: adversary.alice_intercept_resend(10, p, rng,

@@ -381,6 +381,8 @@ def test_oversized_attack_is_refused_before_allocating(capsys, argv):
      "--runs", str(2**63 - 1)),
     ("attack", "--strategy", "bob-multiphoton", "--runs",
      str(MAX_CALL_DRAWS // 70 + 1)),
+    ("attack", "--strategy", "bob-multiphoton", "--m", "1", "--n", "2",
+     "--runs", str(2**63 - 1)),
     ("attack", "--strategy", "alice-alter", "--m", "1", "--n", "32",
      "--trials", str(MAX_CALL_DRAWS + 1)),
     ("attack", "--strategy", "alice-intercept", "--m", "1", "--n", "100",
