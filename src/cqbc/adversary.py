@@ -201,10 +201,10 @@ def _alter_model_probability(classes, slots):
     return min(1.0, success / p_candidate)   # no rounding past 1
 
 
-@functools.cache
 def _clenshaw_curtis() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 129-point Clenshaw-Curtis rule on [0, 1],
-    exact for polynomials of degree up to 129; built once, read-only.
+    exact for polynomials of degree up to 129. Built per call: its one
+    caller path runs under _intercept_tables' cache.
 
     Built from cosine sums rather than an eigensolver: a first LAPACK call
     maps OpenBLAS buffers, about 1.8 MB of resident memory.
@@ -217,7 +217,6 @@ def _clenshaw_curtis() -> tuple[np.ndarray, np.ndarray]:
                - np.cos(order * theta) / (order * order - 1.0)) / order
     weights[[0, -1]] = 0.5 / (order * order - 1.0)
     nodes = 0.5 * (1.0 + np.cos(theta))
-    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -262,7 +261,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     if alter_trials < 0:
         raise ParameterError("alter_trials must be >= 0")
     check_draws(alter_trials)
-    # Nothing here grows with n, but sequences stay within the one limit.
+    # p_alter_model's quadrature is checked only up to MAX_ITEM_SLOTS.
     check_item_slots(n)
     # The click totals are int64 sums: one click a slot, one more for each
     # resent photon.

@@ -248,18 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._config_options = {}   # dest -> its actions: --config's keys
+
+    def option(p, *flags, **kwargs):
+        action = p.add_argument(*flags, **kwargs)
+        parser._config_options.setdefault(action.dest, []).append(action)
 
     def common(p, sized, trials_default=None):
         if sized:
-            p.add_argument("--m", type=int, default=70)
-            p.add_argument("--n", type=int, default=130)
-        p.add_argument("--r", type=_finite_float, default=0.5,
-                       help="beam splitter reflectivity (t = 1 - r)")
+            option(p, "--m", type=int, default=70)
+            option(p, "--n", type=int, default=130)
+        option(p, "--r", type=_finite_float, default=0.5,
+               help="beam splitter reflectivity (t = 1 - r)")
         if trials_default is not None:
-            p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+            option(p, "--trials", type=int, default=trials_default)
+        option(p, "--seed", type=int, default=DEFAULT_SEED)
+        option(p, "--out", help="write the report to this path")
+        option(p, "--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("table1", help="per-slot detector distributions")
     common(p, sized=False, trials_default=100_000)
@@ -267,32 +272,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commit", help="honest commit + open run")
     common(p, sized=True)
-    p.add_argument("--bit", type=int, choices=(0, 1), default=None,
-                   help="commitment bit (default: random)")
-    p.add_argument("--open-bit", type=int, choices=(0, 1), default=None,
-                   help="open with this bit instead of the committed one")
-    p.add_argument("--transcript", help="also dump the slot-level CSV here")
+    option(p, "--bit", type=int, choices=(0, 1), default=None,
+           help="commitment bit (default: random)")
+    option(p, "--open-bit", type=int, choices=(0, 1), default=None,
+           help="open with this bit instead of the committed one")
+    option(p, "--transcript", help="also dump the slot-level CSV here")
     p.set_defaults(func=cmd_commit)
 
     p = sub.add_parser("attack", help="run one adversarial strategy")
     common(p, sized=True, trials_default=10_000)
-    p.add_argument("--strategy", required=True, choices=_ATTACKS)
-    p.add_argument("--n0", type=int, default=0,
-                   help="intercepted slots per sequence")
-    p.add_argument("--k", type=int, default=2, help="photons per slot")
-    p.add_argument("--t-prime", type=_finite_float, default=0.5,
-                   dest="t_prime",
-                   help="transmissivity of Bob's illegal beam splitter")
-    p.add_argument("--runs", type=int, default=1000,
-                   help="independent commit runs for detection statistics")
+    option(p, "--strategy", required=True, choices=_ATTACKS)
+    option(p, "--n0", type=int, default=0,
+           help="intercepted slots per sequence")
+    option(p, "--k", type=int, default=2, help="photons per slot")
+    option(p, "--t-prime", type=_finite_float, default=0.5,
+           dest="t_prime",
+           help="transmissivity of Bob's illegal beam splitter")
+    option(p, "--runs", type=int, default=1000,
+           help="independent commit runs for detection statistics")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("params", help="solve for (m, n)")
     common(p, sized=False)
-    p.add_argument("--target-binding", type=_finite_float, required=True)
-    p.add_argument("--target-concealing", type=_finite_float, required=True)
-    p.add_argument("--max-m", type=int, default=100_000)
-    p.add_argument("--max-n", type=int, default=1_000_000)
+    option(p, "--target-binding", type=_finite_float, required=True)
+    option(p, "--target-concealing", type=_finite_float, required=True)
+    option(p, "--max-m", type=int, default=100_000)
+    option(p, "--max-n", type=int, default=1_000_000)
     p.set_defaults(func=cmd_params)
 
     return parser
@@ -315,14 +320,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ParameterError("config file must hold a JSON object")
-        options: dict = {}   # dest -> the options of every parser that own it
-        for p in [parser] + [sub for action in parser._actions
-                             if isinstance(action, argparse._SubParsersAction)
-                             for sub in action.choices.values()]:
-            for action in p._actions:
-                if action.option_strings and action.dest not in ("help",
-                                                                 "config"):
-                    options.setdefault(action.dest, []).append(action)
+        options = parser._config_options
         for key, value in config.items():
             if key not in options:
                 raise ParameterError(f"config key {key!r} is no option")

@@ -89,13 +89,15 @@ class BeamSplitter:
 
     @functools.cached_property
     def _sampler_cuts(self) -> tuple:
-        """sample_detectors' integer cuts K = ceil(c * 2^53) for c = r^2 and
-        r^2 + rt, the first top byte that reaches each whatever its low
-        bits, ceil(K / 2^45), and the top bytes that tie a K with nonzero
-        low bits. Built on first use and kept on the mirror, from its float
-        values, so equal mirrors, exact or not, sample alike."""
-        r, t = float(self.r), float(self.t)
-        cuts = tuple(math.ceil(c * (1 << 53)) for c in (r * r, r * r + r * t))
+        """sample_detectors' integer cuts K = ceil(c * 2^53) for c = P_D0
+        and P_D0 + P_D1 of a matched slot (outcome_distribution), the first
+        top byte that reaches each whatever its low bits, ceil(K / 2^45),
+        and the top bytes that tie a K with nonzero low bits. Built on first
+        use and kept on the mirror, from its float values, so equal
+        mirrors, exact or not, sample alike."""
+        d0, d1, _ = outcome_distribution(
+            0, 0, BeamSplitter(float(self.r), float(self.t))).values()
+        cuts = tuple(math.ceil(c * (1 << 53)) for c in (d0, d0 + d1))
         return (cuts, tuple(-(-k >> 45) for k in cuts),
                 tuple(k >> 45 for k in cuts if k % (1 << 45)))
 

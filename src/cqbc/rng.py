@@ -33,9 +33,10 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 # on Bob's side, or one sequence of Alice's. A commit with its verification
 # holds the most per slot, about 8 bytes by tracemalloc, so this cap keeps
 # a block under 35 MB; larger requests are refused before anything is
-# allocated. The attacks hold counts, not slots: Bob's runs one D2 count
-# per sequence (at most 8.5 bytes a slot, at n = 2), the intercept attacks
-# table-row counts.
+# allocated. The block, not the report: a commit's report lists every
+# sequence, so `commit --m 2097152 --n 2` peaks at 487 MB RSS. The attacks
+# hold counts, not slots: Bob's runs one D2 count per sequence (at most
+# 8.5 bytes a slot, at n = 2), the intercept attacks table-row counts.
 MAX_ITEM_SLOTS = 1 << 22
 
 # Most Monte Carlo draws one call may make: 2 * trials slots for table1's

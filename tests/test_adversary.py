@@ -731,6 +731,22 @@ def test_bob_polarization_draws_its_totals_once():
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
+def test_bob_polarization_refuses_slot_totals_past_int64():
+    # 49 * 73 = 3577 divides 2^63 - 1, so that total is drawn; a total of
+    # 2^63 slots, past numpy's int64 multinomial, is refused.
+    largest = (2**63 - 1) // 3577
+    assert largest * 3577 == 2**63 - 1
+    report = adversary.bob_illegal_polarization(
+        optics.PLUS, params(m=49, n=73), substream(37, 0), runs=largest)
+    assert report.params["runs"] == largest
+    rng = substream(37, 1)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="int64"):
+        adversary.bob_illegal_polarization(optics.PLUS, params(m=8, n=16),
+                                           rng, runs=2**56)
+    assert rng.bit_generator.state == state   # refused before any draw
+
+
 # ---------------------------------------------------------------------------
 # Bob: count draws against the per-slot sampler they replace
 # ---------------------------------------------------------------------------

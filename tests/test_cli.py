@@ -658,6 +658,12 @@ def test_required_option_missing_or_misplaced_config_is_usage_error(
     {"m": None, "n": 16},
     {"format": "xml"},
     {"t_prime": math.inf, "m": 2, "n": 16},
+    # Parser entries that are no option: help, the subcommand, its
+    # handler and --config itself.
+    {"help": True},
+    {"command": "commit"},
+    {"func": 1},
+    {"config": "x.json"},
 ])
 def test_config_file_rejects_unknown_keys_and_wrong_types(capsys, tmp_path,
                                                           config):
@@ -667,6 +673,9 @@ def test_config_file_rejects_unknown_keys_and_wrong_types(capsys, tmp_path,
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+    key = next(iter(config))
+    if key in ("bogus", "help", "command", "func", "config"):
+        assert err == f"error: config key {key!r} is no option\n"
 
 
 def test_oversized_commit_is_refused_before_allocating(capsys):
