@@ -236,12 +236,10 @@ def _intercept_tables(bs, resend, n, n0):
     and the variance of one sequence's click totals, and p_alter_model.
 
     None of it depends on the draws, so a workload that repeats an attack
-    builds it once. It reads the mirror's float values, so equal mirrors,
-    exact or not, build equal float64 tables and share an entry. Every
-    array is read-only.
+    builds it once. It reads the mirror's _float_view, and equal mirrors
+    share an entry. Every array is read-only.
     """
-    classes = _slot_classes(
-        optics.BeamSplitter(float(bs.r), float(bs.t)), resend)
+    classes = _slot_classes(bs._float_view, resend)
     slots = (n - n0, n0)
     mean, var = np.zeros(3), np.zeros(3)
     for cls, k in zip(classes, slots):
@@ -409,7 +407,7 @@ def bob_multiphoton(
     """Bob loads every slot with k independent photons."""
     if k < 2:
         raise ParameterError("multi-photon attack needs k >= 2")
-    p_capture = optics.outcome_distribution(0, 0, params.bs)[
+    p_capture = optics.outcome_distribution(0, 0, params.bs._float_view)[
         optics.Detector.D2]
     p_any_capture = 1.0 - (1.0 - p_capture) ** k
     # A slot clicks D2 when its bits match and any photon is captured.
@@ -440,7 +438,7 @@ def bob_illegal_polarization(
             f"{slots} slots in total exceed the int64 limit of 2^63 - 1")
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
-    slot = [float(prob) for prob in optics.slot_law(params.bs)]
+    slot = optics.slot_law(params.bs._float_view)
     # The report reads only the totals over all runs: one multinomial.
     _, d1_clicks, d2_clicks = rng.multinomial(slots, slot).tolist()
     # Bob confirms on D1 or an inferred D2.

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -54,20 +55,26 @@ def _report_envelope(command: str, config: dict, results: dict) -> dict:
     }
 
 
+def _write_csv(out, header, rows) -> None:
+    csv.writer(out).writerows(itertools.chain([header], rows))
+
+
 def _emit(report: dict, args, rows, header) -> None:
     """Write the report to --out or stdout: its CSV rows under their
-    header, or the JSON envelope."""
+    header, or the JSON envelope. Both stream: the JSON goes 2^16 encoder
+    chunks a write, neither one string nor one system call a chunk."""
     if args.format == "csv" and rows is None:
         raise ParameterError(
             f"command '{report['command']}' has no CSV representation")
     with (open(args.out, "w", newline="") if args.out
           else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "csv":
-            writer = csv.writer(out)
-            writer.writerow(header)
-            writer.writerows(rows)
+            _write_csv(out, header, rows)
         else:
-            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            chunks = itertools.chain(json.JSONEncoder(
+                indent=2, sort_keys=True).iterencode(report), "\n")
+            while batch := "".join(itertools.islice(chunks, 1 << 16)):
+                out.write(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +140,7 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
     verdict = protocol.bob_verify_opening(transcript, opening)
     if args.transcript:
         with open(args.transcript, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(protocol.SLOT_ROW_HEADER)
-            # Streamed, never listed: a transcript may hold 2^22 rows.
-            writer.writerows(transcript.slot_rows())
+            _write_csv(fh, protocol.SLOT_ROW_HEADER, transcript.slot_rows())
     results = {
         "summary": transcript.summary(),
         "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},

@@ -88,15 +88,18 @@ class BeamSplitter:
                      for a_bit in (0, 1))
 
     @functools.cached_property
+    def _float_view(self) -> "BeamSplitter":
+        """The mirror at float values, the one mirror every sampler reads."""
+        return (self if type(self.r) is type(self.t) is float
+                else BeamSplitter(float(self.r), float(self.t)))
+
+    @functools.cached_property
     def _sampler_cuts(self) -> tuple:
         """sample_detectors' integer cuts K = ceil(c * 2^53) for c = P_D0
-        and P_D0 + P_D1 of a matched slot (outcome_distribution), the first
-        top byte that reaches each whatever its low bits, ceil(K / 2^45),
-        and the top bytes that tie a K with nonzero low bits. Built on first
-        use and kept on the mirror, from its float values, so equal
-        mirrors, exact or not, sample alike."""
-        d0, d1, _ = outcome_distribution(
-            0, 0, BeamSplitter(float(self.r), float(self.t))).values()
+        and P_D0 + P_D1 of a matched slot of _float_view, the first top byte
+        that reaches each whatever its low bits, ceil(K / 2^45), and the top
+        bytes that tie a K with nonzero low bits. Kept on the mirror."""
+        d0, d1, _ = outcome_distribution(0, 0, self._float_view).values()
         cuts = tuple(math.ceil(c * (1 << 53)) for c in (d0, d0 + d1))
         return (cuts, tuple(-(-k >> 45) for k in cuts),
                 tuple(k >> 45 for k in cuts if k % (1 << 45)))

@@ -241,7 +241,7 @@ def d2_detection_probability(p_slot: float, params: CommitmentParams) -> float:
 
 def honest_abort_probability(params: CommitmentParams) -> float:
     """The chance that an honest run trips Alice's D2-rate check."""
-    return d2_detection_probability(float(optics.slot_law(params.bs)[2]),
+    return d2_detection_probability(optics.slot_law(params.bs._float_view)[2],
                                     params)
 
 

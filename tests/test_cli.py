@@ -1,6 +1,7 @@
 """End-to-end CLI tests via main(argv): exit codes, output schema,
 determinism, CSV export, and config-file layering."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -564,6 +565,24 @@ def test_params_report_states_the_solvers_binding(capsys, r):
     assert report["report"]["binding_advantage"] == ratio ** m
     assert ({"parameter": "m", "value": m, "advantage": ratio ** m}
             in report["search_trace"])
+
+
+def test_json_report_is_written_in_batches(tmp_path):
+    # A report of 2^18 D2 verdicts: one json.dumps string of it, with the
+    # list of chunks it is joined from, peaks at 20 MB, and a batch of 2^16
+    # chunks at about 6 MB. Bools, because tracemalloc slows int encoding.
+    report = {"command": "commit", "passed": [True] * (1 << 18)}
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._emit(report, argparse.Namespace(format="json", out=str(path)),
+                  None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+    assert peak < 8 * 2**20
 
 
 def test_params_report_at_a_large_m_takes_no_exact_power(capsys):

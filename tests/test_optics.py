@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cqbc import optics
+from cqbc import adversary, optics, protocol
 from cqbc.errors import ContractViolationError, ParameterError
 from cqbc.rng import substream
 
@@ -436,17 +436,47 @@ def test_sampler_cuts_equal_the_inline_formula(r, tied):
     assert bs._sampler_cuts is bs._sampler_cuts   # built once, kept
 
 
+class _MultinomialRecorder:
+    """A Generator stand-in that records the pvals of each multinomial."""
+
+    def __init__(self):
+        self.pvals = []
+
+    def multinomial(self, n, pvals):
+        self.pvals.append(list(pvals))
+        return np.zeros(len(pvals), dtype=np.int64)
+
+
+def _intercept_table_bytes(bs):
+    # Past the cache, which holds one entry for equal mirrors.
+    classes, mean, var, p_alter_model = (
+        adversary._intercept_tables.__wrapped__(bs, True, 10, 4))
+    arrays = [a for cls in classes for a in (cls.rows, cls.mix, cls.flip)]
+    return [a.tobytes() for a in (*arrays, mean, var)], p_alter_model
+
+
 def test_equal_mirrors_sample_alike():
-    # Every sampler reads the mirror's floats, so an exact mirror has the
-    # cuts and the draws of the equal float mirror.
+    # Every sampler reads the mirror's float view, so an exact mirror has
+    # the cuts, the draws, the intercept tables and the bob-polarization
+    # multinomial law of the equal float mirror.
     eq = np.ones(512, dtype=bool)
+    recorder = _MultinomialRecorder()
     for i, r in enumerate(np.random.default_rng(29).random(2000).tolist()):
         exact = optics.BeamSplitter(Fraction(r), Fraction(1 - r))
         floating = optics.BeamSplitter(r, 1 - r)
+        assert floating._float_view is floating
         assert exact._sampler_cuts == floating._sampler_cuts, r
         assert np.array_equal(
             optics.sample_detectors(eq, exact, substream(29, i)),
             optics.sample_detectors(eq, floating, substream(29, i))), r
+        for bs in (exact, floating):
+            adversary.bob_illegal_polarization(
+                optics.PLUS, protocol.CommitmentParams(1, 2, bs), recorder,
+                runs=1)
+        assert recorder.pvals[-2] == recorder.pvals[-1], r
+        if i % 20 == 0:   # a table takes about 0.5 ms
+            assert (_intercept_table_bytes(exact)
+                    == _intercept_table_bytes(floating)), r
 
 
 def test_balanced_sampler_draws_one_byte_a_slot():
