@@ -1,7 +1,7 @@
 """Dishonest behaviors for both parties, paired with analytic predictions.
 
-Each attack returns an AttackReport holding the closed-form expectation
-next to the simulated totals so the two routes can be cross-checked.
+Each attack but `alice_alter` (a plain dict) returns an AttackReport: the
+closed-form expectation next to the simulated totals, to cross-check.
 
 Alice's intercept and intercept/resend attacks are each two slot classes,
 unattacked and attacked, each a mixture of click rows: Bob's honest view
@@ -13,7 +13,9 @@ deterministically, and a resending Alice always re-emits one photon per
 attacked slot (so total clicks are exactly n + n0_resend). Sequences are
 sampled as counts of each class's rows, not slot by slot, so their time
 and memory do not grow with n; the reports carry the exact alter success
-of the classes (`p_alter_model`) next to the paper's formula.
+of the classes (`p_alter_model`) next to the paper's formula. At no
+intercepted slot this is the one-bit alter of an honest commit, which
+`alice_alter` samples for one sequence and composes over m.
 
 Bob's attacks are sampled as counts too. Alice's D2-rate check reads only
 each sequence's D2 count, a binomial with the reported per-slot rate, and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -318,6 +320,30 @@ def alice_intercept_resend(
     return _intercept_attack(n0_resend, params, rng, alter_trials, resend=True)
 
 
+def alice_alter(params: protocol.CommitmentParams, rng: np.random.Generator,
+                trials: int) -> dict:
+    """Per-sequence alter success, and its m-th power (sampling a ~1e-6
+    event is hopeless). A trial whose every slot clicked D2 leaves Alice
+    nothing to flip: it is counted apart and not graded."""
+    if trials < 1:
+        raise ParameterError("alice-alter needs --trials >= 1")
+    from . import security
+    # A degenerate mirror has no analytic value; refuse it before sampling.
+    analytic_seq, _ = security._floats(security.comparison_probs(params.bs))
+    report = alice_intercept(0, replace(params, m=1), rng, alter_trials=trials)
+    per_seq, m = report.p_alter_empirical, params.m
+    return {
+        "per_sequence_success": {"empirical": per_seq,
+                                 "analytic": analytic_seq},
+        "protocol_success_m_sequences": {
+            "m": m, "empirical_composed": per_seq ** m,
+            "analytic": analytic_seq ** m},
+        "trials": trials,
+        "trials_without_flippable_slot":
+            report.extras["trials_without_flippable_slot"],
+    }
+
+
 def alice_optimal_alter(
     transcript: protocol.CommitmentTranscript,
     target_bit: int,
@@ -352,6 +378,13 @@ def alice_optimal_alter(
 # Bob's attacks, each graded against Alice's D2-rate check
 # ---------------------------------------------------------------------------
 
+def _check_runs(runs, params):
+    """Refuse fewer than one run, and a run past the one-run slot limit."""
+    if runs < 1:
+        raise ParameterError("runs must be >= 1")
+    check_item_slots(params.m * params.n)
+
+
 def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     """Bob's attack graded by the trip rate of the D2 check over
     independent commit runs, when every slot clicks D2 independently with
@@ -360,10 +393,8 @@ def _detection_report(strategy, attack_params, d2_rate, params, rng, runs):
     A sequence's D2 count is then Binomial(n, d2_rate), so each run is
     drawn as its m counts, not slot by slot.
     """
-    if runs < 1:
-        raise ParameterError("runs must be >= 1")
+    _check_runs(runs, params)
     m, n = params.m, params.n
-    check_item_slots(m * n)   # the documented limit on one run
     check_draws(runs * m)
     detected = seq_failures = d2_clicks = 0
     for chunk in _chunks(runs, m):
@@ -427,10 +458,8 @@ def bob_illegal_polarization(
     statistics reduce to honest ones with a re-randomized comparison bit;
     Bob gains no confirmation advantage.
     """
-    if runs < 1:
-        raise ParameterError("runs must be >= 1")
+    _check_runs(runs, params)
     m, n = params.m, params.n
-    check_item_slots(m * n)   # the documented limit on one run
     # No draw limit: the runs share one multinomial, whose total is int64.
     slots = runs * m * n
     if slots > np.iinfo(np.int64).max:

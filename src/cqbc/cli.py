@@ -4,8 +4,9 @@ One binary, four subcommands:
 
   table1   analytic vs. empirical per-slot detector distributions
   commit   full honest commit + open run with transcript export
-  attack   one named adversarial strategy with expected-vs-empirical report
-  params   security-parameter solver
+  attack   one named adversarial strategy, each one call of a public
+           `cqbc.adversary` function, with its expected-vs-empirical report
+  params   the (m, n) solver for binding and concealing targets
 
 All randomness derives from --seed (default 1), so identical invocations
 produce byte-identical JSON apart from the generated_at timestamp, which
@@ -150,37 +151,6 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
 
 
-def _attack_alice_alter(adversary, args, params, rng) -> dict:
-    """Per-sequence alter success of an honest commit, sampled as the
-    intercept attack on no slot; the m-sequence success probability is
-    composed analytically (naive full-protocol sampling of a ~1e-6 event is
-    hopeless). A trial whose every slot clicked D2 leaves Alice nothing to
-    flip: it is counted apart and not graded."""
-    if args.trials < 1:
-        raise ParameterError("alice-alter needs --trials >= 1")
-    import dataclasses
-
-    from . import security
-    # A degenerate mirror has no analytic value; refuse it before sampling.
-    analytic_seq, _ = security._floats(security.comparison_probs(params.bs))
-    # One sequence: m only composes the result below.
-    report = adversary.alice_intercept(0, dataclasses.replace(params, m=1),
-                                       rng, alter_trials=args.trials)
-    per_seq = report.p_alter_empirical
-    return {
-        "per_sequence_success": {"empirical": per_seq,
-                                 "analytic": analytic_seq},
-        "protocol_success_m_sequences": {
-            "m": args.m,
-            "empirical_composed": per_seq ** args.m,
-            "analytic": analytic_seq ** args.m,
-        },
-        "trials": args.trials,
-        "trials_without_flippable_slot":
-            report.extras["trials_without_flippable_slot"],
-    }
-
-
 # The call behind each --strategy choice:
 # (adversary module, args, params, rng) -> results.
 _ATTACKS = {
@@ -189,7 +159,8 @@ _ATTACKS = {
     "alice-intercept-resend":
         lambda adv, a, params, rng: adv.alice_intercept_resend(
             a.n0, params, rng, alter_trials=a.trials).to_dict(),
-    "alice-alter": _attack_alice_alter,
+    "alice-alter": lambda adv, a, params, rng: adv.alice_alter(
+        params, rng, a.trials),
     "bob-bs": lambda adv, a, params, rng: adv.bob_illegal_bs(
         a.t_prime, params, rng, runs=a.runs).to_dict(),
     "bob-multiphoton": lambda adv, a, params, rng: adv.bob_multiphoton(

@@ -230,6 +230,17 @@ def test_attack_alter_refuses_degenerate_mirror_before_sampling(capsys,
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_attack_alter_prints_the_library_call(capsys, r):
+    # The README command: the CLI only builds the inputs of one call.
+    results = run_json(capsys, "attack", "--strategy", "alice-alter", "--m",
+                       "1", "--n", "32", "--trials", "10000", "--r",
+                       str(r))["results"]
+    params = protocol.CommitmentParams(m=1, n=32,
+                                       bs=optics.BeamSplitter(r, 1.0 - r))
+    assert adversary.alice_alter(params, substream(1, 20), 10000) == results
+
+
 def _protocol_alter(n, r, trials):
     """Success rate and ungraded trials of Alice's one-bit alter over full
     protocol runs: an honest one-sequence commit, the forged opening, and
@@ -828,6 +839,8 @@ def test_cli_import_loads_no_layer():
      {"cqbc.adversary", "numpy", "numpy.random"}),
     (["attack", "--strategy", "bob-bs", "--runs", "10"], {"cqbc.security"}),
     (["--help"], set(_LAZY)),
+    (["attack", "--strategy", "alice-intercept", "--n", "100", "--n0", "10",
+      "--trials", "10"], {"cqbc.security"}),
 ])
 def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
     probe = f"from cqbc import cli\nassert cli.main({argv!r}) == 0"

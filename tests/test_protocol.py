@@ -2,14 +2,17 @@
 the D2-rate check, and the verification predicate."""
 
 import dataclasses
+import itertools
 import math
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqbc import cli, optics, protocol
+from cqbc import cli, optics, protocol, security
 from cqbc.errors import ParameterError
 from cqbc.rng import substream
 
@@ -322,6 +325,75 @@ def test_closed_switch_slot_opens_either_bit():
             opening = protocol.OpeningMessage(bit, claimed, t.d2_inferred())
             assert protocol.bob_verify_opening(t, opening), (seed, bit)
     assert opened >= 190
+
+
+def _best_alter(actions):
+    """Alice's best chance that both openings pass at m = 1 and n = 2,
+    enumerated exactly at r = 1/2 through the real verifier.
+
+    Per slot she opens bin 0, bin 1, both bins or none; Bob's bit is
+    uniform. Her record of a slot is the bin whose D2 clicked, if any, and
+    for each record she takes her best pair of openings, each claiming
+    that record as her D2 record (any other claim fails Bob's inference).
+    """
+    n, half = 2, Fraction(1, 2)
+    bs = optics.BeamSplitter(half, half)
+    r, t = bs.r, bs.t
+    params = protocol.CommitmentParams(m=1, n=n, bs=bs)
+    # The window passes every count here, so only the opening is graded.
+    assert protocol.d2_window(params) == range(n + 1)
+
+    def slot_law(action, b):
+        """(click code, Alice's D2 bin or None) -> probability."""
+        if action is None:          # closed: the photon returns whole
+            return {(0, None): Fraction(1)}
+        if action == "both":        # Bob's photon meets an open bin
+            return {(0, None): r * r, (1, None): r * t, (2, b): t}
+        dist = optics.outcome_distribution(action, b, bs)
+        return {(code, action if code == 2 else None): dist[det]
+                for code, det in enumerate(optics.Detector) if dist[det]}
+
+    strings = [np.array([s], dtype=np.uint8)
+               for s in itertools.product((0, 1), repeat=n)]
+    best = Fraction(0)
+    for profile in itertools.product(actions, repeat=n):
+        # Alice's record -> [(probability, Bob's bits, clicks)].
+        views = defaultdict(list)
+        for bob in itertools.product((0, 1), repeat=n):
+            for slots in itertools.product(*(
+                    slot_law(a, b).items() for a, b in zip(profile, bob))):
+                prob = half ** n
+                for _, p in slots:
+                    prob *= p
+                clicks = tuple(code for (code, _), _ in slots)
+                record = tuple(bin_ for (_, bin_), _ in slots)
+                views[record].append((prob, bob, clicks))
+        total = Fraction(0)
+        for record, outcomes in views.items():
+            claimed_d2 = np.array([[bin_ is not None for bin_ in record]])
+            graded = []   # (probability, passing openings of 0, of 1)
+            for prob, bob, clicks in outcomes:
+                transcript = protocol.CommitmentTranscript(
+                    params, 0, strings[0], np.array([bob], dtype=np.uint8),
+                    np.array([clicks], dtype=np.int8))
+                graded.append((prob, *([bool(protocol.bob_verify_opening(
+                    transcript, protocol.OpeningMessage(bit, s, claimed_d2)))
+                    for s in strings] for bit in (0, 1))))
+            total += max(
+                sum(prob for prob, zero, one in graded if zero[i] and one[j])
+                for i in range(len(strings)) for j in range(len(strings)))
+        best = max(best, total)
+    return best
+
+
+def test_best_alter_at_n2_is_the_paper_attack_unless_a_switch_closes():
+    # No action profile beats the one-bit alter of an honest commit: it
+    # fails when both slots click D2 (q = t/2 each) and otherwise succeeds
+    # with (1 - p)/(1 - q). A closed switch opens either bit for certain.
+    probs = security.comparison_probs(optics.BeamSplitter.balanced())
+    assert _best_alter((0, 1, "both")) == Fraction(25, 32) == (
+        (1 - probs.q ** 2) * (1 - probs.p) / (1 - probs.q))
+    assert _best_alter((0, 1, "both", None)) == 1
 
 
 def test_claims_that_are_not_bits_rejected():
