@@ -326,7 +326,7 @@ def alice_alter(params: protocol.CommitmentParams, rng: np.random.Generator,
     event is hopeless). A trial whose every slot clicked D2 leaves Alice
     nothing to flip: it is counted apart and not graded."""
     if trials < 1:
-        raise ParameterError("alice-alter needs --trials >= 1")
+        raise ParameterError("trials must be >= 1")
     from . import security
     # A degenerate mirror has no analytic value; refuse it before sampling.
     analytic_seq, _ = security._floats(security.comparison_probs(params.bs))

@@ -51,31 +51,29 @@ class CommitmentParams:
             raise ParameterError("d2_check_sigma must be finite and positive")
 
 
-def _fair_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """An (m, n) uint8 array of i.i.d. fair bits, eight from each uniform
+def _fair_bits(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A (rows, cols) uint8 array of i.i.d. fair bits, eight from each uniform
     random byte: a per-bit bounded draw costs several times as much. The
     bytes come eight to a 64-bit word in a pinned order (_uniform_bytes),
     so the bits do not depend on the machine's byte order."""
     import numpy as np
-    size = m * n
+    size = rows * cols
     random_bytes = _uniform_bytes(rng, (size + 7) // 8)
-    return np.unpackbits(random_bytes, count=size).reshape(m, n)
+    return np.unpackbits(random_bytes, count=size).reshape(rows, cols)
 
 
 def alice_generate(b: int, m: int, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Draw m sequences uniformly from the 2^(n-1) strings of parity b."""
+    """Draw m sequences uniformly from the 2^(n-1) strings of parity b.
+    The bits are drawn slot-major (row j holds slot j of every sequence),
+    so the parity is one contiguous reduce; the (m, n) result is a
+    transposed view."""
     import numpy as np
     if n < 2:
         raise ParameterError("n must be >= 2")
-    bits = _fair_bits(m, n, rng)
-    prefix = bits[:, :-1]
-    # A reduce along rows pays per row, which dominates short rows: reduce
-    # those down a transposed copy (on long rows the copy costs more).
-    parity = (np.bitwise_xor.reduce(np.ascontiguousarray(prefix.T), axis=0)
-              if n <= 32 else np.bitwise_xor.reduce(prefix, axis=1))
-    bits[:, -1] = parity ^ (b & 1)
-    return bits
+    bits = _fair_bits(n, m, rng)
+    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ (b & 1)
+    return bits.T
 
 
 def bob_generate(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

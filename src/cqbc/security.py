@@ -202,15 +202,16 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
     counts = np.zeros((2, n_views), dtype=np.int64)
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
-            bits = protocol.alice_generate(b_commit, chunk, n, rng)
-            b_bits = protocol.bob_generate(chunk, n, rng)
+            # Slot-major (n, chunk) arrays: row j is slot j of every view.
+            bits = protocol.alice_generate(b_commit, chunk, n, rng).T
+            b_bits = protocol.bob_generate(n, chunk, rng)
             det = optics.sample_detectors(bits == b_bits, bs, rng)
             slot_codes = b_bits * np.uint8(3)
             slot_codes += det.view(np.uint8)
-            views = slot_codes[:, 0].astype(index_type)
-            for column in slot_codes.T[1:]:
+            views = slot_codes[0].astype(index_type)
+            for row in slot_codes[1:]:
                 views *= 6
-                views += column
+                views += row
             counts[b_commit] += np.bincount(views, minlength=n_views)
     return counts / samples
 

@@ -396,6 +396,16 @@ def test_alter_model_at_no_intercept_is_the_exact_binding_ratio(r, n):
         float((1 - probs.p) / (1 - probs.q)), rel=0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_alice_alter_refuses_no_trials_before_any_draw(trials):
+    # A library caller is told the parameter's name, not a CLI flag.
+    rng = substream(74, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match=r"^trials must be >= 1$"):
+        adversary.alice_alter(params(n=32), rng, trials)
+    assert rng.bit_generator.state == state
+
+
 def test_intercept_model_is_none_without_flippable_slot():
     # At r = 0 every attacked slot clicks D2, so with n0 = n nothing can be
     # flipped; the report still carries its totals.

@@ -67,14 +67,16 @@ def _byte_bits(rng, m, n):
                          count=m * n).reshape(m, n)
 
 
-@pytest.mark.parametrize("m, n", [(32768, 2), (21845, 3), (70, 130), (1, 32)])
+@pytest.mark.parametrize("m, n", [(32768, 2), (21845, 3), (70, 130), (1, 32),
+                                  (1, 4096), (64, 4096)])
 def test_alice_generate_parity_matches_row_reduce(m, n):
-    # Short rows take their parity down the columns of a transposed copy;
-    # the bits must equal those of a plain reduce along each row.
-    bits = _byte_bits(substream(102, m, n), m, n)
-    bits[:, -1] = np.bitwise_xor.reduce(bits[:, :-1], axis=1) ^ 1
+    # The bits are drawn slot-major, n rows of m, with the parity reduced
+    # into the last row; sequence i is column i of that draw.
+    bits = _byte_bits(substream(102, m, n), n, m)
+    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ 1
     assert np.array_equal(protocol.alice_generate(1, m, n,
-                                                  substream(102, m, n)), bits)
+                                                  substream(102, m, n)),
+                          bits.T)
 
 
 def test_alice_generate_uniform_over_parity_class():

@@ -319,11 +319,12 @@ def test_sampled_view_law_equals_an_intp_recount(n):
     counts = np.zeros((2, 6 ** n), dtype=np.int64)
     for b_commit in (0, 1):
         for chunk in _chunks(samples, n):
-            bits = protocol.alice_generate(b_commit, chunk, n, rng)
-            b_bits = protocol.bob_generate(chunk, n, rng)
+            # The estimator's slot-major draws: n rows of chunk slots.
+            bits = protocol.alice_generate(b_commit, chunk, n, rng).T
+            b_bits = protocol.bob_generate(n, chunk, rng)
             det = optics.sample_detectors(bits == b_bits, BALANCED, rng)
             digits = 3 * b_bits.astype(np.intp) + det
-            counts[b_commit] += np.bincount(digits @ place_values,
+            counts[b_commit] += np.bincount(place_values @ digits,
                                             minlength=6 ** n)
     assert np.array_equal(law, counts / samples)
 
