@@ -360,9 +360,9 @@ def alice_optimal_alter(
     """
     if target_bit == transcript.committed_bit:
         raise ParameterError("target bit equals the committed bit")
-    claimed = transcript.alice_bits.copy()
-    for i in range(transcript.params.m):
-        unknown = np.flatnonzero(transcript.detectors[i] != 2)
+    claimed = transcript.alice_bits.copy(order="K")
+    for i, silent in enumerate(~transcript.d2_inferred()):
+        unknown = np.flatnonzero(silent)
         if unknown.size == 0:
             raise AttackImpossibleError(f"sequence {i} has no unknown slot")
         j = unknown[rng.integers(0, unknown.size)]

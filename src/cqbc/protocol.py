@@ -77,8 +77,17 @@ def alice_generate(b: int, m: int, n: int,
 
 
 def bob_generate(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform i.i.d. comparison bits."""
-    return _fair_bits(m, n, rng)
+    """Uniform i.i.d. comparison bits: a transposed view of an (n, m) draw."""
+    return _fair_bits(n, m, rng).T
+
+
+def _commit_slots(b: int, m: int, n: int, bs: optics.BeamSplitter,
+                  bits_rng: np.random.Generator,
+                  slot_rng: np.random.Generator) -> tuple:
+    """Alice's bits, Bob's and their clicks as (n, m) slot-major arrays."""
+    alice = alice_generate(b, m, n, bits_rng).T
+    bob = bob_generate(m, n, bits_rng).T
+    return alice, bob, optics.sample_detectors(alice == bob, bs, slot_rng)
 
 
 @dataclass
@@ -103,10 +112,10 @@ class VerifyResult:
 class CommitmentTranscript:
     """What one commit phase sampled; every verdict is derived from it.
 
-    alice_bits and bob_bits are the parties' (m, n) uint8 sequences, and
-    detectors holds the one click of each slot as an (m, n) int8 code, as
-    optics.sample_detectors returns it: 0 for D0 and 1 for D1 (Bob's
-    detectors), 2 for D2 (Alice's; Bob sees no click by the deadline).
+    alice_bits and bob_bits are the parties' (m, n) uint8 sequences and
+    detectors each slot's click as an (m, n) int8 code: 0 for D0, 1 for D1
+    (Bob's detectors), 2 for D2 (Alice's; Bob sees no click by the
+    deadline). A commit keeps all three as drawn, views of slot-major arrays.
     """
 
     params: CommitmentParams
@@ -121,14 +130,10 @@ class CommitmentTranscript:
         return (self.detectors == 2).sum(axis=1)
 
     @property
-    def d2_pass(self) -> np.ndarray:
-        """(m,) bool verdicts of Alice's D2-rate check."""
-        return alice_check_d2(self.d2_counts, self.params)
-
-    @property
     def phase(self) -> str:
         """Committed, or aborted when any sequence fails the check."""
-        return PHASE_COMMITTED if self.d2_pass.all() else PHASE_ABORTED
+        passed = alice_check_d2(self.d2_counts, self.params)
+        return PHASE_COMMITTED if passed.all() else PHASE_ABORTED
 
     def d2_inferred(self) -> np.ndarray:
         """Bob's inference: no click by the return deadline means D2 fired."""
@@ -141,7 +146,7 @@ class CommitmentTranscript:
     def honest_opening(self) -> OpeningMessage:
         return OpeningMessage(
             claimed_bit=int(self.committed_bit),
-            claimed_bits=self.alice_bits.copy(),
+            claimed_bits=self.alice_bits.copy(order="K"),
             claimed_d2=self.d2_inferred(),
         )
 
@@ -172,18 +177,21 @@ class CommitmentTranscript:
         import numpy as np
         m, n = self.params.m, self.params.n
         total = m * n
-        clicks = np.bincount(self.detectors.ravel(), minlength=3)
+        clicks = np.bincount(self.detectors.ravel("K"), minlength=3).tolist()
+        counts = self.d2_counts
+        passed = alice_check_d2(counts, self.params)
+        all_passed = bool(passed.all())
         return {
             "m": m,
             "n": n,
-            "phase": self.phase,
-            "clicks": {f"D{code}": int(c) for code, c in enumerate(clicks)},
-            "bob_confirmed_fraction": float(self.bob_confirmed().mean()),
-            "alice_d2_fraction": float(self.d2_inferred().mean()),
+            "phase": PHASE_COMMITTED if all_passed else PHASE_ABORTED,
+            "clicks": {f"D{code}": c for code, c in enumerate(clicks)},
+            "bob_confirmed_fraction": (clicks[1] + clicks[2]) / total,
+            "alice_d2_fraction": clicks[2] / total,
             "d2_check": {
-                "per_sequence_counts": [int(c) for c in self.d2_counts],
-                "passed": [bool(p) for p in self.d2_pass],
-                "all_passed": bool(self.d2_pass.all()),
+                "per_sequence_counts": counts.tolist(),
+                "passed": passed.tolist(),
+                "all_passed": all_passed,
             },
             "total_slots": total,
         }
@@ -298,14 +306,9 @@ def run_commit_phase(
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))
-    alice_bits = alice_generate(b, params.m, params.n, bits_rng)
-    bob_bits = bob_generate(params.m, params.n, bits_rng)
-
-    slot_rng = substream(params.master_seed, _STREAM_SLOTS)
-    detectors = optics.sample_detectors(alice_bits == bob_bits, params.bs,
-                                        slot_rng)
-    return CommitmentTranscript(params, b & 1, alice_bits, bob_bits,
-                                detectors)
+    slots = _commit_slots(b, params.m, params.n, params.bs, bits_rng,
+                          substream(params.master_seed, _STREAM_SLOTS))
+    return CommitmentTranscript(params, b & 1, *(a.T for a in slots))
 
 
 def bob_verify_opening(
@@ -336,9 +339,8 @@ def bob_verify_opening(
         return VerifyResult(False, "parity-mismatch")
 
     confirmed = transcript.bob_confirmed()
-    if not np.array_equal(
-        opening.claimed_bits[confirmed], transcript.bob_bits[confirmed]
-    ):
+    confirmed &= claimed != transcript.bob_bits   # in place: no third mask
+    if confirmed.any():
         return VerifyResult(False, "confirmed-slot-mismatch")
 
     if not np.array_equal(opening.claimed_d2, transcript.d2_inferred()):

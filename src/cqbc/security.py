@@ -200,19 +200,17 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
     # it faster than an intp one.
     index_type = np.min_scalar_type(n_views - 1)
     counts = np.zeros((2, n_views), dtype=np.int64)
-    for b_commit in (0, 1):
+    for bit in (0, 1):
         for chunk in _chunks(samples, n):
             # Slot-major (n, chunk) arrays: row j is slot j of every view.
-            bits = protocol.alice_generate(b_commit, chunk, n, rng).T
-            b_bits = protocol.bob_generate(n, chunk, rng)
-            det = optics.sample_detectors(bits == b_bits, bs, rng)
-            slot_codes = b_bits * np.uint8(3)
+            _, bob, det = protocol._commit_slots(bit, chunk, n, bs, rng, rng)
+            slot_codes = bob * np.uint8(3)
             slot_codes += det.view(np.uint8)
             views = slot_codes[0].astype(index_type)
             for row in slot_codes[1:]:
                 views *= 6
                 views += row
-            counts[b_commit] += np.bincount(views, minlength=n_views)
+            counts[bit] += np.bincount(views, minlength=n_views)
     return counts / samples
 
 

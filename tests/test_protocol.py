@@ -99,7 +99,8 @@ def test_bob_generate_is_the_unpacked_byte_draw(m, n):
     rng, reference_rng = substream(103, m, n), substream(103, m, n)
     bits = protocol.bob_generate(m, n, rng)
     assert bits.dtype == np.uint8
-    assert np.array_equal(bits, _byte_bits(reference_rng, m, n))
+    # Drawn slot-major, as Alice's bits are: sequence i is column i.
+    assert np.array_equal(bits, _byte_bits(reference_rng, n, m).T)
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -420,6 +421,58 @@ def test_wrong_d2_record_rejected():
     opening.claimed_d2 = ~opening.claimed_d2
     assert (protocol.bob_verify_opening(t, opening).reason
             == "d2-record-mismatch")
+
+
+def _verifier_cases():
+    """(transcript, opening, reason): the honest opening and the tamper
+    cases above, each with the reason the verifier gives it."""
+    t = committed_transcript()
+    yield t, t.honest_opening(), ""
+    # A flip on a D1 slot, then on a D2 slot, each with a D0 flip that
+    # keeps the parity.
+    for code, kw in ((1, {}), (2, {"m": 5, "n": 32})):
+        t = committed_transcript(b=0, seed=12, **kw)
+        opening = t.honest_opening()
+        for flipped in (code, 0):
+            opening.claimed_bits[0, np.flatnonzero(t.detectors[0]
+                                                   == flipped)[0]] ^= 1
+        yield t, opening, "confirmed-slot-mismatch"
+    t = committed_transcript(b=0, seed=13)
+    opening = dataclasses.replace(t.honest_opening(), claimed_bit=1)
+    for i in range(t.params.m):
+        opening.claimed_bits[i, np.flatnonzero(t.detectors[i] == 0)[0]] ^= 1
+    yield t, opening, ""
+    t = committed_transcript(seed=14)
+    opening = t.honest_opening()
+    opening.claimed_d2 = ~opening.claimed_d2
+    yield t, opening, "d2-record-mismatch"
+
+
+def test_verifier_depends_on_neither_memory_order_nor_mutation():
+    # A commit keeps its arrays as slot-major views; an opening may come in
+    # either order. The verdict must not depend on either, and verifying
+    # must write to neither the transcript nor the opening.
+    names = ("alice_bits", "bob_bits", "detectors")
+    for drawn, opening, reason in _verifier_cases():
+        assert all(getattr(drawn, name).flags.f_contiguous for name in names)
+        c_ordered = dataclasses.replace(drawn, **{
+            name: np.ascontiguousarray(getattr(drawn, name))
+            for name in names})
+        confirmed = drawn.bob_confirmed()
+        claimed = opening.claimed_bits.copy()
+        for t, order in itertools.product((drawn, c_ordered), "CF"):
+            ordered = dataclasses.replace(
+                opening,
+                claimed_bits=np.array(opening.claimed_bits, order=order),
+                claimed_d2=np.array(opening.claimed_d2, order=order))
+            assert ordered.claimed_bits.flags[f"{order}_CONTIGUOUS"]
+            for _ in range(2):
+                result = protocol.bob_verify_opening(t, ordered)
+                assert (result.accepted, result.reason) == (not reason,
+                                                            reason)
+            assert np.array_equal(ordered.claimed_bits, claimed)
+        assert np.array_equal(drawn.bob_confirmed(), confirmed)
+        assert np.array_equal(opening.claimed_bits, claimed)
 
 
 def test_d2_inference_matches_alice_record_in_honest_run():

@@ -321,7 +321,7 @@ def test_sampled_view_law_equals_an_intp_recount(n):
         for chunk in _chunks(samples, n):
             # The estimator's slot-major draws: n rows of chunk slots.
             bits = protocol.alice_generate(b_commit, chunk, n, rng).T
-            b_bits = protocol.bob_generate(n, chunk, rng)
+            b_bits = protocol.bob_generate(chunk, n, rng).T
             det = optics.sample_detectors(bits == b_bits, BALANCED, rng)
             digits = 3 * b_bits.astype(np.intp) + det
             counts[b_commit] += np.bincount(place_values @ digits,
