@@ -3,19 +3,21 @@
 Each attack but `alice_alter` (a plain dict) returns an AttackReport: the
 closed-form expectation next to the simulated totals, to cross-check.
 
-Alice's intercept and intercept/resend attacks are each two slot classes,
-unattacked and attacked, each a mixture of click rows: Bob's honest view
-of `optics.view_channel` on unattacked slots and the attack's rows
-on attacked ones. The expectations and the simulated totals both read
-those two classes. The rows follow the published accounting of the attack
-totals: an intercepted slot whose bits mismatch hands the photon to Alice
-deterministically, and a resending Alice always re-emits one photon per
-attacked slot (so total clicks are exactly n + n0_resend). Sequences are
-sampled as counts of each class's rows, not slot by slot, so their time
-and memory do not grow with n; the reports carry the exact alter success
-of the classes (`p_alter_model`) next to the paper's formula. At no
-intercepted slot this is the one-bit alter of an honest commit, which
-`alice_alter` samples for one sequence and composes over m.
+Alice's intercept and intercept/resend attacks are click laws, one per
+source of clicks: an unattacked slot clicks by Bob's honest law
+(`optics.slot_law`), an attacked slot by the capture law, and each photon
+a resending Alice re-emits by (t, r, 0). The laws follow the published
+accounting of the attack totals: an intercepted slot whose bits mismatch
+hands the photon to Alice deterministically, and a resending Alice always
+re-emits one photon per attacked slot (so total clicks are exactly
+n + n0_resend). The expectations and the simulated totals both read them,
+and a slot's click decides whether Alice may flip it, so her alter draws
+three counts per slot class. Sequences are sampled as counts, not slot by
+slot, so their time and memory do not grow with n; the reports carry the
+exact alter success of the laws (`p_alter_model`) next to the paper's
+formula, which holds at the balanced mirror. At no intercepted slot this
+is the one-bit alter of an honest commit, which `alice_alter` samples for
+one sequence and composes over m.
 
 Bob's attacks are sampled as counts too. Alice's D2-rate check reads only
 each sequence's D2 count, a binomial with the reported per-slot rate, and
@@ -73,86 +75,30 @@ class AttackReport:
 
 
 # ---------------------------------------------------------------------------
-# Alice's intercept attacks: two slot classes, unattacked and attacked, each
-# a mixture of (beta0, beta1, alpha) click rows. The closed-form
-# expectations and the sampler read the same classes.
+# Alice's intercept attacks: one (D0, D1, D2) law per source of clicks. The
+# closed-form expectations, the sampler and the alter all read them.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _SlotClass:
-    """One slot class of an intercept attack.
-
-    rows holds int16 (beta0, beta1, alpha) click counts, mix each row's
-    probability in a slot whose bits match with probability 1/2. flip[:, 0]
-    marks the rows Alice may flip (she cannot tell Bob confirmed the slot),
-    flip[:, 1] those whose record also leaves the flip unflagged (a D0
-    click, no D1).
-    """
-
-    rows: np.ndarray
-    mix: np.ndarray
-    flip: np.ndarray
-
-
-def _slot_classes(bs: optics.BeamSplitter,
-                  resend: bool) -> tuple[_SlotClass, _SlotClass]:
-    """The unattacked and the attacked class of the intercept or the
-    intercept/resend attack.
-
-    A sequence is sampled as its row counts, not slot by slot. Bob's bits
-    are uniform, i.i.d. and independent of Alice's, so each slot's
-    mismatch flag is an i.i.d. fair coin whatever her parity constraint,
-    and each slot's row an independent draw from its class's mixture.
-    Which slots are attacked does not change the counts, so the n - n0
-    unattacked and n0 attacked slots of a sequence have multinomial row
-    counts, exactly as the per-slot draws would.
-    """
-    clicks = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]   # one click: D0, D1, D2
-    # Unattacked: the honest view given a = 0, matched slots then mismatched.
-    # Attacked: opening both bins adds nothing on matched slots (their bin
-    # is open anyway); on mismatched slots Alice captures the photon.
-    unattacked = list(zip(clicks * 2, optics.view_channel(bs)[0]))
-    attacked = unattacked[:3] + [((0, 0, 1), 0.5)]
-    if resend:
-        # Alice re-emits one photon per attacked slot, captured or not; it
-        # re-enters the receiver arm alone: D0 with t, D1 with r.
-        attacked = [(tuple(x + y for x, y in zip(counts, extra)),
-                     prob * p_extra)
-                    for counts, prob in attacked
-                    for extra, p_extra in (((1, 0, 0), bs.t),
-                                           ((0, 1, 0), bs.r))]
-    classes = []
-    for table, is_attacked in ((unattacked, False), (attacked, True)):
-        rows = np.array([counts for counts, _ in table], dtype=np.int16)
-        candidate = (rows[:, 2] == 0) | (resend and is_attacked)
-        unflagged = (rows[:, 0] > 0) & (rows[:, 1] == 0)
-        cls = _SlotClass(
-            rows=rows, mix=np.array([prob for _, prob in table]),
-            flip=np.column_stack([candidate, candidate & unflagged]))
-        for array in (cls.rows, cls.mix, cls.flip):
-            array.flags.writeable = False
-        classes.append(cls)
-    return tuple(classes)
-
-
-def _alter_success_loop(classes, slots, rng, trials):
+def _alter_success_loop(alter, slots, rng, trials):
     """Empirical one-bit alter success over fresh attacked sequences of
     `slots` (unattacked, attacked) slots.
 
     Per the attack analysis, success is graded on the flipped slot alone:
     Alice flips one bit she cannot tell Bob confirmed, and succeeds iff
-    Bob's record of that slot does not contradict the flip. A uniform pick
-    among the candidate slots is unflagged with probability unflagged
-    candidates / candidates, so a trial needs only its row counts and one
-    uniform. Trials without a candidate are not graded; their number is
-    returned too. With no attacked slot this is the alter of an honest
-    commit, graded by the protocol's rule without its D2-rate window.
+    Bob's record of that slot does not contradict the flip. Each class's
+    alter law splits its slots into unflagged candidates, flagged
+    candidates and the rest. A uniform pick among the candidates is
+    unflagged with probability unflagged candidates / candidates, so a
+    trial needs only its counts and one uniform. Trials without a candidate
+    are not graded; their number is returned too. With no attacked slot
+    this is the alter of an honest commit, graded by the protocol's rule
+    without its D2-rate window.
     """
     successes = graded = 0
-    for chunk in _chunks(trials, sum(len(cls.rows) for cls in classes)):
-        # Per trial: its candidate slots and its unflagged candidate slots.
-        candidates, good = sum(rng.multinomial(k, cls.mix, chunk) @ cls.flip
-                               for cls, k in zip(classes, slots)).T
+    for chunk in _chunks(trials, alter.size):
+        good, flagged, _ = sum(rng.multinomial(k, law, chunk)
+                               for law, k in zip(alter, slots)).T
+        candidates = good + flagged
         graded += int(np.count_nonzero(candidates))
         successes += int((rng.random(chunk) * candidates < good).sum())
     if graded == 0:
@@ -160,7 +106,7 @@ def _alter_success_loop(classes, slots, rng, trials):
     return successes / graded, trials - graded
 
 
-def _alter_model_probability(classes, slots):
+def _alter_model_probability(alter, slots):
     """The alter success that _alter_success_loop samples, exactly.
 
     Let s_c be the probability that a slot of class c is a candidate and
@@ -176,8 +122,7 @@ def _alter_model_probability(classes, slots):
     within 1e-15 of 40-digit quadrature up to n = MAX_ITEM_SLOTS.
     None when no trial can have a candidate.
     """
-    s, w = ([float(cls.mix[cls.flip[:, j]].sum()) for cls in classes]
-            for j in (0, 1))
+    s, w = [float(law[0] + law[1]) for law in alter], alter[:, 0].tolist()
     log_none = sum(k * math.log1p(-sc) if sc < 1.0 else -math.inf
                    for k, sc in zip(slots, s) if k)
     p_candidate = -math.expm1(log_none)
@@ -223,34 +168,63 @@ def _clenshaw_curtis() -> tuple[np.ndarray, np.ndarray]:
 
 
 def intercept_alter_probability(n: int, n0: int) -> float:
-    """Closed-form one-bit alter success under pure interception."""
+    """Closed-form one-bit alter success under pure interception: the
+    paper's value, at the balanced mirror (r = 1/2) only."""
     return (5 * n - 4 * n0) / (6 * n - 4 * n0)
 
 
 def resend_alter_probability(n: int, n0_resend: int) -> float:
-    """Closed-form one-bit alter success under intercept/resend."""
+    """Closed-form one-bit alter success under intercept/resend: the
+    paper's value, at the balanced mirror (r = 1/2) only."""
     return 5 * n / (6 * n + 4 * n0_resend)
 
 
 @functools.lru_cache(maxsize=64)
 def _intercept_tables(bs, resend, n, n0):
-    """The slot classes of an intercept attack on n0 of n slots, the mean
-    and the variance of one sequence's click totals, and p_alter_model.
+    """The click laws of an intercept attack on n0 of n slots, one row per
+    source of clicks; the alter laws of its unattacked and attacked slots;
+    the mean and the variance of one sequence's click totals; and
+    p_alter_model.
+
+    A click law is (P_D0, P_D1, P_D2) of one click. An unattacked slot
+    clicks by Bob's honest law, optics.slot_law. An attacked slot clicks by
+    the capture law: opening both bins adds nothing on a matched slot, whose
+    bin is open anyway, and on a mismatched one (probability 1/2) Alice
+    captures the photon, which reads as D2. A resending Alice re-emits one
+    photon per attacked slot, captured or not, into the receiver arm alone.
+    Bob's bits are uniform, i.i.d. and independent of Alice's, so each
+    slot's mismatch is an i.i.d. fair coin whatever her parity constraint,
+    and each click an independent draw from its law: the n - n0 unattacked
+    slots, the n0 attacked ones and the n0 resent photons of a sequence
+    have multinomial click counts, exactly as per-slot draws would.
+
+    An alter law is (unflagged candidate, flagged candidate, neither).
+    Alice may flip a slot whose click is not D2 (she cannot tell Bob
+    confirmed it), and the flip is unflagged when the click is D0, so a
+    one-click slot's click law is its alter law. A resending Alice may flip
+    any attacked slot: unflagged when the resent photon clicks D0 and the
+    capture click is not D1.
 
     None of it depends on the draws, so a workload that repeats an attack
     builds it once. It reads the mirror's _float_view, and equal mirrors
     share an entry. Every array is read-only.
     """
-    classes = _slot_classes(bs._float_view, resend)
-    slots = (n - n0, n0)
-    mean, var = np.zeros(3), np.zeros(3)
-    for cls, k in zip(classes, slots):
-        weighted = cls.mix[:, None] * cls.rows
-        first = weighted.sum(axis=0)
-        mean += k * first
-        var += k * ((weighted * cls.rows).sum(axis=0) - first * first)
-    mean.flags.writeable = var.flags.writeable = False
-    return classes, mean, var, _alter_model_probability(classes, slots)
+    bs = bs._float_view
+    honest, matched = optics.slot_law(bs), optics.view_channel(bs)[0]
+    capture = (matched[0], matched[1], matched[2] + 0.5)
+    laws, alter = [honest, capture], [honest, capture]
+    if resend:
+        resent = (bs.t, bs.r, 0.0)   # written once: moments, totals, alter
+        laws.append(resent)
+        unflagged = resent[0] * (1.0 - capture[1])
+        alter[1] = (unflagged, 1.0 - unflagged, 0.0)
+    laws, alter = np.array(laws), np.array(alter)
+    slots = (n - n0, n0, n0)
+    mean = sum(k * law for k, law in zip(slots, laws))
+    var = sum(k * (law - law * law) for k, law in zip(slots, laws))
+    for array in (laws, alter, mean, var):
+        array.flags.writeable = False
+    return laws, alter, mean, var, _alter_model_probability(alter, slots)
 
 
 def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
@@ -269,24 +243,24 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     if clicks > np.iinfo(np.int64).max:
         raise ParameterError(
             f"{clicks} clicks in total exceed the int64 limit of 2^63 - 1")
-    classes, mean, var, p_alter_model = _intercept_tables(params.bs, resend,
-                                                          n, n0)
-    slots = (n - n0, n0)
-    totals = sum(rng.multinomial(params.m * k, cls.mix) @ cls.rows
-                 for cls, k in zip(classes, slots))
+    laws, alter, mean, var, p_alter_model = _intercept_tables(
+        params.bs, resend, n, n0)
+    slots = (n - n0, n0, n0)
+    totals = sum(rng.multinomial(params.m * k, law)
+                 for law, k in zip(laws, slots))
     p_emp = None
     extras = {"total_clicks": int(totals.sum())}
     if alter_trials:
         p_emp, extras["trials_without_flippable_slot"] = _alter_success_loop(
-            classes, slots, rng, alter_trials)
+            alter, slots, rng, alter_trials)
     if resend:
-        strategy = "alice-intercept-resend"
-        p_alter = resend_alter_probability(n, n0)
+        strategy, paper = "alice-intercept-resend", resend_alter_probability
         extras["expected_total_clicks"] = params.m * (n + n0)
     else:
-        strategy = "alice-intercept"
-        p_alter = intercept_alter_probability(n, n0)
-    # The paper's p_alter next to the exact one of the classes sampled here.
+        strategy, paper = "alice-intercept", intercept_alter_probability
+    # The paper's p_alter holds at the balanced mirror only; p_alter_model
+    # is the exact one of the laws sampled here, at any mirror.
+    balanced = params.bs == optics.BeamSplitter.balanced()
     extras["p_alter_model"] = p_alter_model
     return AttackReport(
         strategy=strategy,
@@ -294,7 +268,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
         expected=dict(zip(DETECTORS, (params.m * mean).tolist())),
         std=dict(zip(DETECTORS, (np.sqrt(params.m) * np.sqrt(var)).tolist())),
         empirical=dict(zip(DETECTORS, [int(v) for v in totals])),
-        p_alter_analytic=p_alter,
+        p_alter_analytic=paper(n, n0) if balanced else None,
         p_alter_empirical=p_emp,
         extras=extras,
     )

@@ -36,7 +36,8 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 # allocated. The block, not the report: a commit's report lists every
 # sequence, so `commit --m 2097152 --n 2` peaks at about 113 MB RSS. The
 # attacks hold counts, not slots: Bob's runs one D2 count per sequence (at
-# most 8.5 bytes a slot, at n = 2), the intercept attacks table-row counts.
+# most 8.5 bytes a slot, at n = 2), the intercept attacks three click
+# counts per law.
 MAX_ITEM_SLOTS = 1 << 22
 
 # Most Monte Carlo draws one call may make: 2 * trials slots for table1's
@@ -44,13 +45,13 @@ MAX_ITEM_SLOTS = 1 << 22
 # alter trials for the intercept attacks and alice-alter. bob-polarization
 # is not limited: its runs share one multinomial draw. Memory stays
 # bounded at any count, but time does not, so a larger request is refused
-# before anything is drawn. The slowest paths, table1's loop and the resend
-# alter trials, take about 1 us a draw: 27 s and 36 s at this limit (2 CPUs,
+# before anything is drawn. The slowest path, table1's loop, takes 27 s at
+# this limit, and the intercept attacks' alter trials 8 to 11 s (2 CPUs,
 # Python 3.11).
 MAX_CALL_DRAWS = 1 << 25
 
-# Slots (or counts: of table rows in an intercept alter trial, of D2 counts
-# in a Bob run) one Monte Carlo chunk may hold. Batched
+# Slots (or counts: three per slot class in an intercept alter trial, one D2
+# count per sequence in a Bob run) one Monte Carlo chunk may hold. Batched
 # samplers draw whole chunks one after another from the caller's Generator,
 # so a run's draws depend on this size; it is fixed, so equal seeds still
 # give equal results.

@@ -165,7 +165,7 @@ def test_report_dict_holds_plain_values(attack):
 
 
 # ---------------------------------------------------------------------------
-# Alice: slot classes against the keyed per-slot tables they replace
+# Alice: click laws against the keyed per-slot tables they replace
 # ---------------------------------------------------------------------------
 
 def _channel_table(a_bit, b_bit, bs):
@@ -176,6 +176,12 @@ def _channel_table(a_bit, b_bit, bs):
             ((0, 0, 1), dist[optics.Detector.D2])]
 
 
+def _resent_table(bs):
+    """The re-emitted photon re-enters the receiver arm: D0 with t, D1 with
+    r."""
+    return [((1, 0, 0), bs.t), ((0, 1, 0), bs.r)]
+
+
 def _attack_tables(bs, resend):
     """The reference: four per-slot tables of ((beta0, beta1, alpha),
     probability) rows, indexed by 2 * attacked + mismatched."""
@@ -184,43 +190,47 @@ def _attack_tables(bs, resend):
     # captures the photon.
     attacked = [honest[0], [((0, 0, 1), 1.0)]]
     if resend:
-        # The re-emitted photon re-enters the receiver arm: D0 with t, D1
-        # with r.
-        resent = [((1, 0, 0), bs.t), ((0, 1, 0), bs.r)]
         attacked = [
             [(tuple(x + y for x, y in zip(counts, extra)), prob * p_extra)
-             for counts, prob in table for extra, p_extra in resent]
+             for counts, prob in table for extra, p_extra in _resent_table(bs)]
             for table in attacked
         ]
     return honest + attacked
 
 
-def _reference_flip(tables, resend):
-    """Per row of the four tables, in order: is it a candidate, and an
-    unflagged candidate?"""
-    rows = np.array([c for table in tables for c, _ in table])
-    candidate = rows[:, 2] == 0
-    if resend:
-        candidate[len(tables[0]) + len(tables[1]):] = True
-    unflagged = (rows[:, 0] > 0) & (rows[:, 1] == 0)
-    return np.column_stack([candidate, candidate & unflagged])
+def _by_click(tables):
+    """The half mixture of the tables, a slot's bits matching with
+    probability 1/2, aggregated by click: (P_D0, P_D1, P_D2) of one-click
+    rows."""
+    law = [0.0, 0.0, 0.0]
+    for table in tables:
+        for counts, prob in table:
+            law[counts.index(1)] += 0.5 * prob
+    return law
 
 
-def _reference_totals(tables, n, n0, m):
-    """Expected totals and their standard deviations by the row loop over
-    the tables, each slot's bits matching with probability 1/2."""
-    mean = np.zeros(3)
-    var = np.zeros(3)
-    for attacked, slots in ((0, n - n0), (1, n0)):
-        first = np.zeros(3)
-        second = np.zeros(3)
-        for table in tables[2 * attacked:2 * attacked + 2]:
-            for c, prob in table:
-                c = np.array(c, dtype=float)
-                first += 0.5 * prob * c
-                second += 0.5 * prob * c * c
-        mean += slots * first
-        var += slots * (second - first * first)
+def _alter_masses(tables, resend_attacked):
+    """(unflagged candidate, flagged candidate, neither) of a slot drawn
+    from the half mixture of the tables, in Fractions: a row is a candidate
+    when it has no D2 or a resending Alice attacked the slot, and unflagged
+    when it has a D0 and no D1."""
+    masses = [Fraction(0)] * 3
+    for table in tables:
+        for counts, prob in table:
+            if counts[2] == 0 or resend_attacked:
+                column = 0 if counts[0] > 0 and counts[1] == 0 else 1
+            else:
+                column = 2
+            masses[column] += Fraction(1, 2) * Fraction(prob)
+    return masses
+
+
+def _reference_totals(laws, n, n0, m):
+    """Expected totals and their standard deviations: n - n0, n0 and n0
+    independent one-click draws from the three laws in turn."""
+    slots = (n - n0, n0, n0)
+    mean = sum(k * law for k, law in zip(slots, np.array(laws)))
+    var = sum(k * (law - law * law) for k, law in zip(slots, np.array(laws)))
     return ((m * mean).tolist(),
             [np.sqrt(m) * v for v in np.sqrt(var).tolist()])
 
@@ -229,24 +239,26 @@ def _reference_totals(tables, n, n0, m):
 @pytest.mark.parametrize("r", [0.5, 0.3, 0.05, 0.0, 1.0])
 def test_slot_classes_are_the_half_mixture_of_the_keyed_tables(r, resend):
     bs = optics.BeamSplitter(r, 1.0 - r)
+    keyed = _attack_tables(bs, False)
+    reference = [_by_click(keyed[:2]), _by_click(keyed[2:])]
+    if resend:
+        reference.append([prob for _, prob in _resent_table(bs)] + [0.0])
+    laws, alter = adversary._intercept_tables(bs, resend, 4, 2)[:2]
+    assert laws.tolist() == reference
     tables = _attack_tables(bs, resend)
-    flip = _reference_flip(tables, resend)
-    classes = adversary._slot_classes(bs, resend)
-    start = 0
-    for cls, pair in zip(classes, (tables[:2], tables[2:])):
-        rows = [c for table in pair for c, _ in table]
-        stop = start + len(rows)
-        assert cls.rows.dtype == np.int16
-        assert cls.rows.tolist() == [list(c) for c in rows]
-        assert cls.mix.tolist() == [0.5 * prob
-                                    for table in pair for _, prob in table]
-        assert (cls.flip == flip[start:stop]).all()
-        start = stop
+    for law, pair, attacked in zip(alter, (tables[:2], tables[2:]),
+                                   (False, True)):
+        exact = _alter_masses(pair, resend and attacked)
+        assert law.tolist() == pytest.approx([float(x) for x in exact],
+                                             rel=0.0, abs=1e-15)
+    if not resend:
+        # A one-click slot's alter law is its click law.
+        assert alter.tolist() == laws.tolist()
     attack = (adversary.alice_intercept_resend if resend
               else adversary.alice_intercept)
     for m, n, n0 in [(1, 4, 0), (2, 4, 4), (3, 40, 10), (1, 10_000, 2000)]:
         report = attack(n0, params(m=m, n=n, bs=bs), substream(65, n))
-        mean, std = _reference_totals(tables, n, n0, m)
+        mean, std = _reference_totals(reference, n, n0, m)
         assert report.expected == dict(zip(adversary.DETECTORS, mean))
         assert report.std == dict(zip(adversary.DETECTORS, std))
 
@@ -298,25 +310,26 @@ def _per_slot_alter(row, attacked, tables, resend, rng):
 def test_row_counts_match_per_slot_sampler(n, n0, resend):
     trials = 20_000
     tables = _attack_tables(BALANCED, resend)
-    classes = adversary._slot_classes(BALANCED, resend)
-    n_rows = sum(len(cls.rows) for cls in classes)
+    laws, alter, _, _, _ = adversary._intercept_tables(BALANCED, resend, n,
+                                                       n0)
 
     row, attacked = _per_slot_rows(trials, n, n0, tables, substream(57, n))
-    reference = np.bincount(
-        (row + n_rows * np.arange(trials)[:, None]).ravel(),
-        minlength=trials * n_rows).reshape(trials, n_rows)
+    clicks = np.array([c for table in tables for c, _ in table])
+    candidate = (clicks[row, 2] == 0) | (attacked & resend)
+    unflagged = candidate & (clicks[row, 0] > 0) & (clicks[row, 1] == 0)
+    good, flippable = unflagged.sum(axis=1), candidate.sum(axis=1)
     rng = substream(58, n)
-    counts = np.concatenate([rng.multinomial(k, cls.mix, trials)
-                             for cls, k in zip(classes, (n - n0, n0))],
-                            axis=1)
-    # A row's count in one trial is a sum of independent Bernoulli slots.
-    unattacked = len(classes[0].rows)
-    p = np.zeros((2, n_rows))
-    p[0, :unattacked] = classes[0].mix
-    p[1, unattacked:] = classes[1].mix
-    var = (n - n0) * p[0] * (1 - p[0]) + n0 * p[1] * (1 - p[1])
-    diff = np.abs(counts.mean(axis=0) - reference.mean(axis=0))
-    assert (diff <= 4.0 * np.sqrt(2 * var / trials)).all()
+    # Per trial: the click totals, then the unflagged candidates, the
+    # flagged ones and the rest. Each is a sum of independent slots.
+    for reference, table, slots in (
+            (clicks[row].sum(axis=1), laws, (n - n0, n0, n0)),
+            (np.column_stack([good, flippable - good, n - flippable]), alter,
+             (n - n0, n0))):
+        counts = sum(rng.multinomial(k, law, trials)
+                     for law, k in zip(table, slots))
+        var = sum(k * law * (1 - law) for law, k in zip(table, slots))
+        diff = np.abs(counts.mean(axis=0) - reference.mean(axis=0))
+        assert (diff <= 4.0 * np.sqrt(2 * var / trials)).all()
 
     graded, successes = _per_slot_alter(row, attacked, tables, resend,
                                         substream(59, n))
@@ -417,11 +430,9 @@ def test_intercept_model_is_none_without_flippable_slot():
 
 @pytest.mark.parametrize("resend", [False, True])
 def test_intercept_tables_are_read_only(resend):
-    classes, mean, var, _ = adversary._intercept_tables(
+    laws, alter, mean, var, _ = adversary._intercept_tables(
         optics.BeamSplitter(0.3, 0.7), resend, 40, 10)
-    arrays = [mean, var, *(a for cls in classes
-                           for a in (cls.rows, cls.mix, cls.flip))]
-    for array in arrays:
+    for array in (laws, alter, mean, var):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -483,8 +494,23 @@ def test_exact_mirror_reports_equal_the_float_ones(order):
     for bs in order:
         adversary.alice_intercept(10, params(n=40, bs=bs), substream(69, 0))
     assert adversary._intercept_tables.cache_info().currsize == 1
-    classes = adversary._intercept_tables(EXACT, False, 40, 10)[0]
-    assert [cls.mix.dtype for cls in classes] == [np.dtype(np.float64)] * 2
+    laws, alter = adversary._intercept_tables(EXACT, False, 40, 10)[:2]
+    assert [laws.dtype, alter.dtype] == [np.dtype(np.float64)] * 2
+
+
+@pytest.mark.parametrize("resend", [False, True])
+def test_paper_alter_value_only_at_the_balanced_mirror(resend):
+    # The paper's formulas are its values at r = 1/2; elsewhere the report
+    # carries only the exact alter success of the laws.
+    attack, paper = ((adversary.alice_intercept_resend,
+                      adversary.resend_alter_probability) if resend else
+                     (adversary.alice_intercept,
+                      adversary.intercept_alter_probability))
+    for bs, analytic in ((optics.BeamSplitter(0.3, 0.7), None),
+                         (EXACT, paper(100, 20))):
+        report = attack(20, params(n=100, bs=bs), substream(75, 0)).to_dict()
+        assert report["p_alter"]["analytic"] == analytic
+        assert type(report["extras"]["p_alter_model"]) is float
 
 
 def test_intercept_tables_cache_is_bounded():
@@ -918,10 +944,9 @@ def test_intercept_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
 
-    # The alter loop draws one row of counts per trial.
-    rows = sum(len(cls.rows)
-               for cls in adversary._slot_classes(BALANCED, False))
-    full_chunk = max(1, rng_module._CHUNK_SLOTS // rows)
+    # The alter loop draws three counts per slot class and trial.
+    counts = adversary._intercept_tables(BALANCED, False, n, 2000)[1].size
+    full_chunk = max(1, rng_module._CHUNK_SLOTS // counts)
     peak(1, 1)   # one-time allocations stay out of both measurements
     assert peak(10 * full_chunk, 10 * full_chunk) <= 1.5 * peak(full_chunk,
                                                                 full_chunk)

@@ -211,7 +211,7 @@ def test_attack_alter_without_gradable_trial_is_usage_error(capsys):
     # happens with probability (t/2)^2 = 0.23.
     code, out, err = run(capsys, "attack", "--strategy", "alice-alter",
                          "--m", "1", "--n", "2", "--trials", "1",
-                         "--r", "0.05", "--seed", "15")
+                         "--r", "0.05", "--seed", "3")
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert err == "error: no flippable slot in any trial\n"

@@ -449,10 +449,9 @@ class _MultinomialRecorder:
 
 def _intercept_table_bytes(bs):
     # Past the cache, which holds one entry for equal mirrors.
-    classes, mean, var, p_alter_model = (
-        adversary._intercept_tables.__wrapped__(bs, True, 10, 4))
-    arrays = [a for cls in classes for a in (cls.rows, cls.mix, cls.flip)]
-    return [a.tobytes() for a in (*arrays, mean, var)], p_alter_model
+    *arrays, p_alter_model = adversary._intercept_tables.__wrapped__(
+        bs, True, 10, 4)
+    return [a.tobytes() for a in arrays], p_alter_model
 
 
 def test_equal_mirrors_sample_alike():
