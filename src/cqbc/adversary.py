@@ -303,7 +303,8 @@ def alice_alter(params: protocol.CommitmentParams, rng: np.random.Generator,
         raise ParameterError("trials must be >= 1")
     from . import security
     # A degenerate mirror has no analytic value; refuse it before sampling.
-    analytic_seq, _ = security._floats(security.comparison_probs(params.bs))
+    probs = security.comparison_probs(params.bs)
+    analytic_seq = float(security.binding_advantage(1, probs.p, probs.q))
     report = alice_intercept(0, replace(params, m=1), rng, alter_trials=trials)
     per_seq, m = report.p_alter_empirical, params.m
     return {

@@ -184,6 +184,10 @@ def cmd_attack(args) -> tuple[dict, list, list]:
             [key, results["expected"].get(key), results["empirical"].get(key)]
             for key in sorted(set(results["expected"]) | set(results["empirical"]))
         ]
+        # Each sampled probability beside its analytic value, if any.
+        rows += [[key, results[key]["analytic"], results[key]["empirical"]]
+                 for key in ("p_alter", "p_detect")
+                 if results[key]["empirical"] is not None]
     return results, rows, header
 
 

@@ -258,8 +258,8 @@ def _sequence_fail(p_slot: float, n: int, window: range) -> float:
 
     Each report calls this once; the cache pays off across reports. Every
     slice of the benchmark's mc_large workload grades the same three
-    (rate, window) pairs, and at n = 130 an uncached call takes 0.07 to
-    0.09 ms (timeit on 2 CPUs, Python 3.11, numpy 2.4).
+    (rate, window) pairs, and at n = 130 an uncached call takes 35 to
+    55 us (timeit on 2 CPUs, Python 3.11, numpy 2.4).
     """
     if window.start <= n * p_slot <= window.stop - 1:
         return (_tail_mass(range(window.start - 1, -1, -1), n, p_slot)

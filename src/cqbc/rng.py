@@ -45,9 +45,9 @@ MAX_ITEM_SLOTS = 1 << 22
 # alter trials for the intercept attacks and alice-alter. bob-polarization
 # is not limited: its runs share one multinomial draw. Memory stays
 # bounded at any count, but time does not, so a larger request is refused
-# before anything is drawn. The slowest path, table1's loop, takes 27 s at
-# this limit, and the intercept attacks' alter trials 8 to 11 s (2 CPUs,
-# Python 3.11).
+# before anything is drawn. The slowest path, table1's loop, takes 16 to
+# 21 s at this limit, and the intercept attacks' alter trials 8 to 11 s
+# (2 CPUs, Python 3.11).
 MAX_CALL_DRAWS = 1 << 25
 
 # Slots (or counts: three per slot class in an intercept alter trial, one D2

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from . import optics, protocol
 from .errors import InfeasibleTargetError, ParameterError
@@ -80,7 +81,7 @@ class ConcealingReport:
     epsilon: float
     advantage: float
     first_order: float
-    factor_two_note: str = (
+    factor_two_note: ClassVar[str] = (
         "final simplification in the source analysis omits the factor 1/2; "
         "exact advantage = epsilon/2 is reported here"
     )
@@ -92,36 +93,21 @@ def concealing_advantage(m: int, n: int, p_prime) -> ConcealingReport:
         raise ParameterError("m and n must be >= 1")
     if not 0 < p_prime < 1:
         raise ParameterError("need 0 < p' < 1")
-    # log p' from the complement 1 - p', so that an exact p' within
+    # p'^n from the complement 1 - p', so that an exact p' within
     # rounding of 1 (a tiny r) still counts as below 1.
-    return _concealing_report(m, n, math.log1p(-float(1 - p_prime)))
-
-
-def _concealing_report(m: int, n: int, log_pp: float) -> ConcealingReport:
-    ppn = math.exp(n * log_pp)
+    ppn = math.exp(n * math.log1p(-float(1 - p_prime)))
     # 1 - (1 - x)^m with x = p'^n, evaluated without cancellation. An x
     # that rounds to 1 leaves (1 - x)^m below 2^-54, so epsilon rounds to 1.
     epsilon = -math.expm1(m * math.log1p(-ppn)) if ppn < 1.0 else 1.0
-    return ConcealingReport(
-        epsilon=epsilon,
-        advantage=epsilon / 2.0,
-        first_order=m * ppn / 2.0,
-    )
-
-
-def _floats(probs: ComparisonProbs) -> tuple[float, float]:
-    """The binding ratio (1 - p)/(1 - q) and log p' as floats, each taken
-    from an exact complement: at a tiny r, p and q round to one float and
-    p' to 1 (see concealing_advantage)."""
-    return (float((1 - probs.p) / (1 - probs.q)),
-            math.log1p(-float(1 - probs.p_prime)))
+    return ConcealingReport(epsilon=epsilon, advantage=epsilon / 2.0,
+                            first_order=m * ppn / 2.0)
 
 
 @dataclass
 class ParamSearchResult:
     m: int
     n: int
-    trace: list = field(default_factory=list)  # {parameter, value, advantage}
+    trace: list  # {parameter, value, advantage}
 
 
 def choose_parameters(
@@ -138,13 +124,16 @@ def choose_parameters(
     rows at most."""
     if not (0.0 < target_binding <= 1.0 and 0.0 < target_concealing <= 1.0):
         raise ParameterError("targets must lie in (0, 1]")
-    ratio, log_pp = _floats(comparison_probs(bs))
+    probs = comparison_probs(bs)
+    # Exact until the float: at a tiny r, p and q round to one float.
+    ratio = float(binding_advantage(1, probs.p, probs.q))
     trace: list = []
     m = _first_meeting("binding", "m", 1, max_m, target_binding,
                        lambda cand: ratio ** cand, trace)
     n = _first_meeting(
         "concealing", "n", 2, max_n, target_concealing,
-        lambda cand: _concealing_report(m, cand, log_pp).advantage, trace)
+        lambda cand: concealing_advantage(m, cand, probs.p_prime).advantage,
+        trace)
     return ParamSearchResult(m=m, n=n, trace=trace)
 
 
@@ -251,14 +240,14 @@ def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
 def security_report(
         m: int, n: int,
         bs: optics.BeamSplitter = optics.BeamSplitter.balanced()) -> dict:
-    """Analytic security summary for one (m, n, beam splitter) choice, as
-    the plain values a report holds: each advantage as choose_parameters
-    evaluates it, and the chance that an honest run trips Alice's D2-rate
-    check at the default window. m and n are refused as a commit's are."""
+    """Analytic security summary for one (m, n, beam splitter) choice as
+    plain values: binding_advantage(1, p, q) as a float to the m-th power,
+    concealing_advantage, and the chance that an honest run trips Alice's
+    D2-rate check at the default window. m and n must fit a commit."""
     params = protocol.CommitmentParams(m, n, bs)
     probs = comparison_probs(bs)
-    ratio, log_pp = _floats(probs)
-    concealing = _concealing_report(m, n, log_pp)
+    ratio = float(binding_advantage(1, probs.p, probs.q))
+    concealing = concealing_advantage(m, n, probs.p_prime)
     return {
         "m": m,
         "n": n,

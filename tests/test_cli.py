@@ -484,6 +484,28 @@ def test_attack_bad_n0_is_usage_error(capsys):
     assert "n0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--strategy", "bob-bs", "--runs", "100"),
+    ("--strategy", "alice-intercept", "--m", "1", "--n", "100", "--n0", "20",
+     "--trials", "100"),
+])
+def test_attack_csv_rows_hold_the_sampled_probabilities(capsys, argv):
+    # Each sampled p_alter or p_detect of the JSON is a CSV row: its
+    # analytic value (empty if null) under expected, its sample under
+    # empirical.
+    results = run_json(capsys, "attack", *argv)["results"]
+    code, out, err = run(capsys, "attack", *argv, "--format", "csv")
+    assert code == cli.EXIT_OK, err
+    cells = {row["quantity"]: [float(row[col]) if row[col] else None
+                               for col in ("expected", "empirical")]
+             for row in csv.DictReader(io.StringIO(out))}
+    pairs = {key: [results[key]["analytic"], results[key]["empirical"]]
+             for key in ("p_alter", "p_detect")
+             if results[key]["empirical"] is not None}
+    assert pairs
+    assert {key: cells.get(key) for key in pairs} == pairs
+
+
 # ---------------------------------------------------------------------------
 # params
 # ---------------------------------------------------------------------------
@@ -517,13 +539,13 @@ def test_params_refuses_unmet_target_without_scanning(capsys, monkeypatch,
     # Both advantages are monotone, so the value at --max-m or --max-n
     # settles feasibility; a scan would evaluate up to 10^6 of them.
     calls = []
-    concealing_report = security._concealing_report
+    concealing_advantage = security.concealing_advantage
 
     def counted(*args):
         calls.append(args)
-        return concealing_report(*args)
+        return concealing_advantage(*args)
 
-    monkeypatch.setattr(security, "_concealing_report", counted)
+    monkeypatch.setattr(security, "concealing_advantage", counted)
     code, out, err = run(capsys, "params", *argv)
     assert code == cli.EXIT_INFEASIBLE
     assert out == "" and err == f"infeasible: {message}\n"
@@ -576,6 +598,13 @@ def test_params_report_states_the_solvers_binding(capsys, r):
     assert report["report"]["binding_advantage"] == ratio ** m
     assert ({"parameter": "m", "value": m, "advantage": ratio ** m}
             in report["search_trace"])
+    # The concealing block is concealing_advantage's report, field for field.
+    concealing = security.concealing_advantage(m, report["chosen"]["n"],
+                                               probs.p_prime)
+    assert report["report"]["concealing"] == {
+        "epsilon": concealing.epsilon, "advantage": concealing.advantage,
+        "first_order": concealing.first_order,
+        "note": concealing.factor_two_note}
 
 
 def test_json_report_is_written_in_batches(tmp_path):

@@ -4,6 +4,7 @@ the exact layer's values, pinned byte for byte in tests/golden/.
 A change that moves a seeded draw, a substream path or a report's bytes
 fails here, whatever its law. The reports drop their `generated_at` line,
 which the determinism contract leaves out; `table1` runs at 1000 trials.
+Each command runs at the README's r = 1/2 and again at r = 0.3.
 To rewrite the files on purpose, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -54,6 +55,15 @@ COMMANDS = {
     "params.json": ["params", "--target-binding", "3e-6",
                     "--target-concealing", "1.1e-6"],
 }
+# The same commands at r = 0.3, where t != r and p, q and p' are not dyadic:
+# the solver's (m, n), run_slot's tables, the sampler's tied-byte path, the
+# resent photon's (t, r) law and a null p_alter.analytic. The commit runs
+# at its default (70, 130) shape and writes no transcript.
+COMMANDS.update({
+    name.replace(".json", "-r03.json"):
+        (["commit", "--bit", "1"] if name == "commit.json" else argv)
+        + ["--r", "0.3"]
+    for name, argv in COMMANDS.items()})
 # The slot CSV that commit.json's command writes to slots.csv.
 TRANSCRIPT = "commit-transcript.csv"
 EXACT = "exact.json"

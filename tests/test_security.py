@@ -1,6 +1,7 @@
 """Closed-form security quantities, the brute-force concealing oracle, and
 the parameter solver."""
 
+import dataclasses
 import inspect
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cqbc import optics, protocol, security
+from cqbc import adversary, optics, protocol, security
 from cqbc.errors import InfeasibleTargetError, ParameterError
 from cqbc.rng import _chunks, substream
 
@@ -170,14 +171,13 @@ def _scan_parameters(target_binding, target_concealing, bs, max_m, max_n):
     advantages; or the message of the target that none meets."""
     probs = security.comparison_probs(bs)
     ratio = float((1 - probs.p) / (1 - probs.q))
-    log_pp = math.log1p(-float(1 - probs.p_prime))
     m = next((m for m in range(1, max_m + 1)
               if ratio ** m <= target_binding), None)
     if m is None:
         return (f"binding target {target_binding} unreachable with "
                 f"m <= {max_m}")
     n = next((n for n in range(2, max_n + 1)
-              if security._concealing_report(m, n, log_pp).advantage
+              if security.concealing_advantage(m, n, probs.p_prime).advantage
               <= target_concealing), None)
     if n is None:
         return (f"concealing target {target_concealing} unreachable with "
@@ -381,6 +381,30 @@ def test_security_report_contents():
     for m, n in ((0, 130), (70, 0), (70, 1)):
         with pytest.raises(ParameterError):
             security.security_report(m, n)
+
+
+@pytest.mark.parametrize("r", [0.123456789, 3e-9, 1e-20])
+def test_printed_advantages_are_the_public_functions(r):
+    # Non-dyadic and tiny mirrors, where p, q and p' round as floats.
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    probs = security.comparison_probs(bs)
+    ratio = float(security.binding_advantage(1, probs.p, probs.q))
+    concealing = security.concealing_advantage(70, 130, probs.p_prime)
+    d = security.security_report(70, 130, bs)
+    assert d["binding_advantage"] == ratio ** 70
+    assert d["concealing"] == {
+        "epsilon": concealing.epsilon, "advantage": concealing.advantage,
+        "first_order": concealing.first_order,
+        "note": concealing.factor_two_note}
+    alter = adversary.alice_alter(protocol.CommitmentParams(70, 130, bs),
+                                  substream(1, 0), trials=10)
+    assert alter["per_sequence_success"]["analytic"] == ratio
+    assert alter["protocol_success_m_sequences"]["analytic"] == ratio ** 70
+
+
+def test_concealing_report_fields_are_its_three_values():
+    assert [f.name for f in dataclasses.fields(security.ConcealingReport)] == [
+        "epsilon", "advantage", "first_order"]
 
 
 @pytest.mark.parametrize("m, n, expected", [(70, 130, 4.31e-3),
