@@ -56,22 +56,16 @@ class AttackReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "params": self.params,
-            "expected": self.expected,
-            "empirical": self.empirical,
-            "std": self.std,
-            "p_alter": {
-                "analytic": self.p_alter_analytic,
-                "empirical": self.p_alter_empirical,
-            },
-            "p_detect": {
-                "empirical": self.detection_probability,
-                "analytic": self.detection_probability_analytic,
-            },
-            "extras": self.extras,
-        }
+        """The fields as they stand, each sampled probability nested with
+        its analytic value under p_alter and p_detect."""
+        fields = dict(vars(self))
+        p_alter = {"analytic": fields.pop("p_alter_analytic"),
+                   "empirical": fields.pop("p_alter_empirical")}
+        p_detect = {"empirical": fields.pop("detection_probability"),
+                    "analytic": fields.pop("detection_probability_analytic")}
+        # A fresh dict: one that lost keys keeps its larger table, and a
+        # caller may hold many reports.
+        return {**fields, "p_alter": p_alter, "p_detect": p_detect}
 
 
 # ---------------------------------------------------------------------------

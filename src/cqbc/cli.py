@@ -46,16 +46,6 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
 
-def _report_envelope(command: str, config: dict, results: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "results": results,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-    }
-
-
 def _write_csv(out, header, rows) -> None:
     csv.writer(out).writerows(itertools.chain([header], rows))
 
@@ -91,7 +81,7 @@ def _mirror(args):
 def cmd_table1(args) -> tuple[dict, list, list]:
     if args.trials < 1000:
         raise ParameterError("table1 needs at least 1000 trials")
-    check_draws(2 * args.trials)   # one run_slot call per case and trial
+    check_draws(2 * args.trials)   # at most one uniform per case and trial
     from . import optics
     bs = _mirror(args)
     rng = substream(args.seed, 10)
@@ -100,29 +90,24 @@ def cmd_table1(args) -> tuple[dict, list, list]:
         warnings.append("degenerate beam splitter: analytic columns only "
                         "partially testable")
 
-    header = ["case", "detector", "analytic", "empirical", "deviation",
-              "tolerance", "pass"]
-    rows = []
+    # Each JSON cell, keyed by case and detector, is its CSV row's values.
+    cases, rows = {}, []
     for label, b_bit in (("a_eq_b", 0), ("a_neq_b", 1)):   # Alice's bit 0
         analytic = optics.outcome_distribution(0, b_bit, bs)
-        counts = dict.fromkeys(optics.Detector, 0)
-        for _ in range(args.trials):
-            counts[optics.run_slot(0, b_bit, bs, rng).detector] += 1
+        counts = optics.slot_counts(0, b_bit, bs, rng, args.trials)
+        cells = cases[label] = {}
         for det in optics.Detector:
             p = analytic[det]
             freq = counts[det] / args.trials
             # 4-sigma binomial window; degenerate cells demand exactness.
             tol = 4.0 * math.sqrt(p * (1 - p) / args.trials)
-            rows.append([label, det.value, p, freq, freq - p, tol,
-                         abs(freq - p) <= tol])
-    # The JSON cells are the CSV rows, keyed by case and detector.
-    cases = {}
-    for row in rows:
-        cell = dict(zip(header, row))
-        cases.setdefault(cell.pop("case"), {})[cell.pop("detector")] = cell
+            cell = cells[det.value] = {
+                "analytic": p, "empirical": freq, "deviation": freq - p,
+                "tolerance": tol, "pass": abs(freq - p) <= tol}
+            rows.append([label, det.value, *cell.values()])
     results = {"cases": cases, "all_pass": all(row[-1] for row in rows),
                "warnings": warnings}
-    return results, rows, header
+    return results, rows, ["case", "detector", *cell]
 
 
 def _commitment_params(args):
@@ -144,7 +129,7 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
             _write_csv(fh, protocol.SLOT_ROW_HEADER, transcript.slot_rows())
     results = {
         "summary": transcript.summary(),
-        "verdict": {"accepted": verdict.accepted, "reason": verdict.reason},
+        "verdict": dict(vars(verdict)),
         "committed_bit": int(transcript.committed_bit),
         "honest_abort_probability": protocol.honest_abort_probability(params),
     }
@@ -338,10 +323,15 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(build_parser(), argv)
         results, rows, header = args.func(args)
-        config = {k: v for k, v in vars(args).items()
-                  if k not in ("func", "config")}
-        _emit(_report_envelope(args.command, config, results), args, rows,
-              header)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "config")},
+            "results": results,
+            "generated_at": datetime.now(timezone.utc).isoformat(),
+        }
+        _emit(report, args, rows, header)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except InfeasibleTargetError as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractViolationError, ParameterError
-from .rng import _uniform_bytes
+from .rng import _chunks, _uniform_bytes
 
 NORM_TOL = 1e-12
 
@@ -260,6 +260,25 @@ def run_slot(
     if not cuts:
         return outcomes[0]
     return outcomes[bisect_right(cuts, rng.random())]
+
+
+def slot_counts(a_bit: int, b_bit: int, bs: BeamSplitter,
+                rng: np.random.Generator, trials: int) -> dict[Detector, int]:
+    """Detector counts of `trials` honest slots of one bit pair, drawn as
+    that many run_slot calls draw them: the same uniforms against the same
+    cuts, a chunk at a time, and none where the outcome is certain."""
+    import numpy as np
+    outcomes, cuts = bs._slot_tables[a_bit][b_bit]
+    counts = dict.fromkeys(Detector, 0)
+    if not cuts:
+        counts[outcomes[0].detector] = trials
+        return counts
+    totals = np.zeros(len(outcomes), dtype=np.int64)
+    for chunk in _chunks(trials, 1):
+        hits = np.searchsorted(cuts, rng.random(chunk), side="right")
+        totals += np.bincount(hits, minlength=len(outcomes))
+    counts.update(zip((o.detector for o in outcomes), totals.tolist()))
+    return counts
 
 
 def outcome_distribution(

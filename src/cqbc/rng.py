@@ -40,14 +40,14 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 # counts per law.
 MAX_ITEM_SLOTS = 1 << 22
 
-# Most Monte Carlo draws one call may make: 2 * trials slots for table1's
-# per-slot loop, runs * m D2 counts for bob-bs and bob-multiphoton, and
-# alter trials for the intercept attacks and alice-alter. bob-polarization
-# is not limited: its runs share one multinomial draw. Memory stays
-# bounded at any count, but time does not, so a larger request is refused
-# before anything is drawn. The slowest path, table1's loop, takes 16 to
-# 21 s at this limit, and the intercept attacks' alter trials 8 to 11 s
-# (2 CPUs, Python 3.11).
+# Most Monte Carlo draws one call may make: 2 * trials slots for table1,
+# runs * m D2 counts for bob-bs and bob-multiphoton, and alter trials for
+# the intercept attacks and alice-alter. bob-polarization is not limited:
+# its runs share one multinomial draw. Memory stays bounded at any count,
+# but time does not, so a larger request is refused before anything is
+# drawn. The slowest paths, the alter trials of the intercept attacks and
+# alice-alter, take 7 to 10 s at this limit, bob-bs and bob-multiphoton
+# 2 to 3 s and table1 0.3 s (2 CPUs, Python 3.11).
 MAX_CALL_DRAWS = 1 << 25
 
 # Slots (or counts: three per slot class in an intercept alter trial, one D2

@@ -257,11 +257,7 @@ def security_report(
         "p_prime": float(probs.p_prime),
         "q": float(probs.q),
         "binding_advantage": ratio ** m,
-        "concealing": {
-            "epsilon": concealing.epsilon,
-            "advantage": concealing.advantage,
-            "first_order": concealing.first_order,
-            "note": concealing.factor_two_note,
-        },
+        "concealing": {**vars(concealing),
+                       "note": concealing.factor_two_note},
         "honest_abort_probability": protocol.honest_abort_probability(params),
     }

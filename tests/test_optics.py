@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cqbc import adversary, optics, protocol
 from cqbc.errors import ContractViolationError, ParameterError
-from cqbc.rng import substream
+from cqbc.rng import _CHUNK_SLOTS, substream
 
 BALANCED = optics.BeamSplitter.balanced()
 
@@ -322,6 +322,20 @@ def test_run_slot_draws_only_when_the_outcome_is_uncertain(r, a_bit, b_bit,
         expected.random(draws)
         optics.run_slot(a_bit, b_bit, bs, rng)
         assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.123456789, 0.0, 1.0])
+@pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_slot_counts_equal_the_run_slot_loop(r, a_bit, b_bit):
+    bs = optics.BeamSplitter(r, 1.0 - r)
+    trials = _CHUNK_SLOTS + 1   # two chunks
+    batched, looped = substream(26, a_bit, b_bit), substream(26, a_bit, b_bit)
+    counts = Counter(optics.run_slot(a_bit, b_bit, bs, looped).detector
+                     for _ in range(trials))
+    assert (optics.slot_counts(a_bit, b_bit, bs, batched, trials)
+            == {det: counts[det] for det in optics.Detector})
+    # Both made the same draws.
+    assert batched.random() == looped.random()
 
 
 @pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1), (1, 0), (1, 1)])
