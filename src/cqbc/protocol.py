@@ -84,10 +84,23 @@ def bob_generate(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def _commit_slots(b: int, m: int, n: int, bs: optics.BeamSplitter,
                   bits_rng: np.random.Generator,
                   slot_rng: np.random.Generator) -> tuple:
-    """Alice's bits, Bob's and their clicks as (n, m) slot-major arrays."""
+    """Alice's bits, Bob's and their clicks as (n, m) slot-major arrays,
+    and the (m,) last-slot clicks of each sequence's twin: the commit of
+    1 - b whose Alice string differs in the last slot only. Flipping that
+    bit maps one parity class onto the other, and sample_detectors draws
+    every uniform whatever the match, so the last row is drawn as matched
+    and masked once for each: the twins are an exact sample of the commit
+    of 1 - b. The concealing TV estimator counts them; run_commit_phase
+    drops them."""
     alice = alice_generate(b, m, n, bits_rng).T
     bob = bob_generate(m, n, bits_rng).T
-    return alice, bob, optics.sample_detectors(alice == bob, bs, slot_rng)
+    eq = alice == bob
+    last_eq = eq[-1].copy()
+    eq[-1] = True
+    det = optics.sample_detectors(eq, bs, slot_rng)
+    twin = det[-1] * ~last_eq
+    det[-1] *= last_eq
+    return alice, bob, det, twin
 
 
 @dataclass
@@ -306,8 +319,8 @@ def run_commit_phase(
     bits_rng = substream(params.master_seed, _STREAM_BITS)
     if b is None:
         b = int(bits_rng.integers(0, 2))
-    slots = _commit_slots(b, params.m, params.n, params.bs, bits_rng,
-                          substream(params.master_seed, _STREAM_SLOTS))
+    *slots, _ = _commit_slots(b, params.m, params.n, params.bs, bits_rng,
+                              substream(params.master_seed, _STREAM_SLOTS))
     return CommitmentTranscript(params, b & 1, *(a.T for a in slots))
 
 

@@ -180,7 +180,9 @@ def _view_law(n: int, bs: optics.BeamSplitter) -> np.ndarray:
 
 def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Frequencies of the views in `samples` transcripts per committed bit."""
+    """Frequencies of the views in `samples` transcripts per committed bit:
+    commits of 0, then their twins of 1 (protocol._commit_slots), whose
+    views differ in the units digit only. The rows are not independent."""
     import numpy as np
     n_views = 6 ** n
     # The narrowest unsigned type that holds every index: uint8 up to
@@ -189,17 +191,20 @@ def _sampled_view_law(n: int, bs: optics.BeamSplitter, samples: int,
     # it faster than an intp one.
     index_type = np.min_scalar_type(n_views - 1)
     counts = np.zeros((2, n_views), dtype=np.int64)
-    for bit in (0, 1):
-        for chunk in _chunks(samples, n):
-            # Slot-major (n, chunk) arrays: row j is slot j of every view.
-            _, bob, det = protocol._commit_slots(bit, chunk, n, bs, rng, rng)
-            slot_codes = bob * np.uint8(3)
-            slot_codes += det.view(np.uint8)
-            views = slot_codes[0].astype(index_type)
-            for row in slot_codes[1:]:
-                views *= 6
-                views += row
-            counts[bit] += np.bincount(views, minlength=n_views)
+    for chunk in _chunks(samples, n):
+        # Slot-major (n, chunk) arrays: row j is slot j of every view.
+        _, bob, det, twin = protocol._commit_slots(0, chunk, n, bs, rng, rng)
+        slot_codes = bob * np.uint8(3)
+        slot_codes += det.view(np.uint8)
+        views = slot_codes[0].astype(index_type)
+        for row in slot_codes[1:]:
+            views *= 6
+            views += row
+        counts[0] += np.bincount(views, minlength=n_views)
+        # The last slot's click is at most the units digit: no wrap.
+        views -= det[-1].view(np.uint8)
+        views += twin.view(np.uint8)
+        counts[1] += np.bincount(views, minlength=n_views)
     return counts / samples
 
 
@@ -222,11 +227,13 @@ def concealing_oracle_bruteforce(
 def concealing_tv_monte_carlo(n: int, bs: optics.BeamSplitter, samples: int,
                               rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the oracle's TV distance from sampled
-    transcripts (`samples` per commitment value). Each chunk's views are
-    indexed in the narrowest unsigned type that holds 6^n - 1 (uint8 up
-    to n = 3) before they are counted. The count table alone holds
-    2 * 6^n int64 counts, 27 MB at n = 8, so n is capped there; with the
-    frequencies and their difference a traced n = 8 call peaks at 55 MB."""
+    transcripts: `samples` commits of bit 0, each counted once as drawn
+    and once as its twin of bit 1, which differs in the last slot only.
+    Each chunk's views are indexed in the narrowest unsigned type that
+    holds 6^n - 1 (uint8 up to n = 3) before they are counted. The count
+    table alone holds 2 * 6^n int64 counts, 27 MB at n = 8, so n is
+    capped there; with the frequencies and their difference a traced
+    n = 8 call peaks at 54 MB."""
     if not (2 <= n <= 8 and samples >= 1):
         raise ParameterError(f"need 2 <= n <= 8 and samples >= 1, got n={n}, "
                              f"samples={samples}")

@@ -154,6 +154,35 @@ def test_commit_phase_detector_statistics():
     assert np.isin(t.detectors, (0, 1, 2)).all()
 
 
+@pytest.mark.parametrize("m, n", [(70, 130), (32768, 2)])
+@pytest.mark.parametrize("r", [0.5, 0.3, 0.123456789])
+def test_commit_slots_twin_reads_the_last_slot_draw(r, m, n):
+    # At r = 0.3 some sampler bytes are tied and draw low bits as well.
+    bs = optics.BeamSplitter(r, 1 - r)
+    for b in (0, 1):
+        alice, bob, det, twin = protocol._commit_slots(
+            b, m, n, bs, substream(102, b), substream(103, b))
+        bits_rng, slot_rng = substream(102, b), substream(103, b)
+        assert np.array_equal(alice, protocol.alice_generate(b, m, n,
+                                                             bits_rng).T)
+        assert np.array_equal(bob, protocol.bob_generate(m, n, bits_rng).T)
+        # The commit's clicks are the plain sampler's, from the same state.
+        assert np.array_equal(
+            det, optics.sample_detectors(alice == bob, bs, slot_rng))
+        assert twin.shape == (m,) and twin.dtype == np.int8
+        # One draw, read under the two matches: at most one of the two
+        # last-slot clicks is not D0, and the twin clicks only where the
+        # commit's last slot mismatched.
+        assert not ((det[-1] != 0) & (twin != 0)).any()
+        assert not twin[alice[-1] == bob[-1]].any()
+        # The twin is the sampler's commit of the flipped last bit.
+        flipped = alice.copy()
+        flipped[-1] ^= 1
+        assert np.array_equal(
+            twin, optics.sample_detectors(flipped == bob, bs,
+                                          substream(103, b))[-1])
+
+
 def test_d2_check_window_and_abort():
     params = make_params(m=2, n=16, master_seed=9)
     t = protocol.run_commit_phase(params, b=0)

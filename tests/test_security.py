@@ -317,16 +317,48 @@ def test_sampled_view_law_equals_an_intp_recount(n):
     rng = substream(64, n)
     place_values = 6 ** np.arange(n - 1, -1, -1, dtype=np.intp)
     counts = np.zeros((2, 6 ** n), dtype=np.int64)
-    for b_commit in (0, 1):
-        for chunk in _chunks(samples, n):
-            # The estimator's slot-major draws: n rows of chunk slots.
-            bits = protocol.alice_generate(b_commit, chunk, n, rng).T
-            b_bits = protocol.bob_generate(chunk, n, rng).T
-            det = optics.sample_detectors(bits == b_bits, BALANCED, rng)
+    for chunk in _chunks(samples, n):
+        # The estimator's slot-major draws: n rows of chunk slots, the
+        # last slot's clicks drawn as matched, then read under each bit's
+        # match; the commit of 1 differs from the commit of 0 there only.
+        bits = protocol.alice_generate(0, chunk, n, rng).T
+        b_bits = protocol.bob_generate(chunk, n, rng).T
+        eq = bits == b_bits
+        eq[-1] = True
+        clicks = optics.sample_detectors(eq, BALANCED, rng)
+        for b_commit in (0, 1):
+            bits[-1] ^= b_commit
+            det = clicks * (bits == b_bits)
             digits = 3 * b_bits.astype(np.intp) + det
             counts[b_commit] += np.bincount(place_values @ digits,
                                             minlength=6 ** n)
     assert np.array_equal(law, counts / samples)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_view_law_row_0_is_the_per_bit_loops(n, r):
+    # Row 0 counts the commits of 0 exactly as an estimator with one pass
+    # per committed bit did, over several chunks: same draws, same index.
+    bs = optics.BeamSplitter(r, 1 - r)
+    samples = 70_000   # three chunks at n = 2, four at n = 3
+    law = security._sampled_view_law(n, bs, samples, substream(65, n))
+    rng = substream(65, n)
+    n_views = 6 ** n
+    index_type = np.min_scalar_type(n_views - 1)
+    counts = np.zeros(n_views, dtype=np.int64)
+    for chunk in _chunks(samples, n):
+        alice = protocol.alice_generate(0, chunk, n, rng).T
+        bob = protocol.bob_generate(chunk, n, rng).T
+        det = optics.sample_detectors(alice == bob, bs, rng)
+        slot_codes = bob * np.uint8(3)
+        slot_codes += det.view(np.uint8)
+        views = slot_codes[0].astype(index_type)
+        for row in slot_codes[1:]:
+            views *= 6
+            views += row
+        counts += np.bincount(views, minlength=n_views)
+    assert law[0].tobytes() == (counts / samples).tobytes()
 
 
 @pytest.mark.parametrize("n, samples", [(2, 0), (2, -5), (0, 10), (1, 10)])
@@ -349,6 +381,19 @@ def test_tv_monte_carlo_refuses_large_view_space_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_tv_monte_carlo_peak_memory_at_the_largest_n():
+    # The (2, 6^8) count table is 27 MB; with the frequencies and their
+    # difference the call peaked at 54 MB when this test was written.
+    tracemalloc.start()
+    try:
+        security.concealing_tv_monte_carlo(8, BALANCED, 20_000,
+                                           substream(66, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56e6
 
 
 @settings(max_examples=30, deadline=None)
