@@ -35,9 +35,9 @@ import numpy as np
 
 from . import optics, protocol
 from .errors import AttackImpossibleError, ParameterError
-from .rng import _chunks, check_draws, check_item_slots
+from .rng import _chunks, check_draws, check_int64, check_item_slots
 
-DETECTORS = ("D0", "D1", "D2")
+DETECTORS = tuple(det.value for det in optics.Detector)
 
 
 @dataclass
@@ -233,10 +233,7 @@ def _intercept_attack(n0, params, rng, alter_trials, resend) -> AttackReport:
     check_item_slots(n)
     # The click totals are int64 sums: one click a slot, one more for each
     # resent photon.
-    clicks = params.m * (n + n0 if resend else n)
-    if clicks > np.iinfo(np.int64).max:
-        raise ParameterError(
-            f"{clicks} clicks in total exceed the int64 limit of 2^63 - 1")
+    check_int64(params.m * (n + n0 if resend else n), "clicks")
     laws, alter, mean, var, p_alter_model = _intercept_tables(
         params.bs, resend, n, n0)
     slots = (n - n0, n0, n0)
@@ -431,9 +428,7 @@ def bob_illegal_polarization(
     m, n = params.m, params.n
     # No draw limit: the runs share one multinomial, whose total is int64.
     slots = runs * m * n
-    if slots > np.iinfo(np.int64).max:
-        raise ParameterError(
-            f"{slots} slots in total exceed the int64 limit of 2^63 - 1")
+    check_int64(slots, "slots")
     # Alice's bit is uniform, so the bits match with probability 1/2
     # whatever the polarization, and the slots' clicks are i.i.d.
     slot = optics.slot_law(params.bs._float_view)

@@ -30,13 +30,9 @@ import sys
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 
-from .errors import (
-    AttackImpossibleError,
-    ContractViolationError,
-    InfeasibleTargetError,
-    ParameterError,
-)
-from .rng import DEFAULT_SEED, check_draws, substream
+from .errors import (AttackImpossibleError, InfeasibleTargetError,
+                     ParameterError)
+from .rng import DEFAULT_SEED, INT64_MAX, check_draws, substream
 
 SCHEMA_VERSION = 1
 
@@ -130,7 +126,7 @@ def cmd_commit(args) -> tuple[dict, Iterable, Sequence]:
     results = {
         "summary": transcript.summary(),
         "verdict": dict(vars(verdict)),
-        "committed_bit": int(transcript.committed_bit),
+        "committed_bit": transcript.committed_bit,
         "honest_abort_probability": protocol.honest_abort_probability(params),
     }
     return results, transcript.slot_rows(), protocol.SLOT_ROW_HEADER
@@ -308,7 +304,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     # Every count, bound and seed is an int64 to numpy and a float to math.
     for key, value in vars(args).items():
-        if isinstance(value, int) and abs(value) >= 2**63:
+        if isinstance(value, int) and abs(value) > INT64_MAX:
             raise ParameterError(
                 f"{key}'s magnitude is past the int64 limit 2^63 - 1")
     # Refused here, so that a command that draws nothing (params) does not
@@ -337,8 +333,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ParameterError, ContractViolationError,
-            AttackImpossibleError) as exc:
+    except (ParameterError, AttackImpossibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, json.JSONDecodeError) as exc:

@@ -1,10 +1,6 @@
 """Exception classes shared across the package."""
 
 
-class ContractViolationError(ValueError):
-    """An input broke a documented precondition (e.g. a non-normalized state)."""
-
-
 class ParameterError(ValueError):
     """A numeric parameter is outside its legal range."""
 

@@ -34,7 +34,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ContractViolationError, ParameterError
+from .errors import ParameterError
 from .rng import _chunks, _uniform_bytes
 
 NORM_TOL = 1e-12
@@ -115,7 +115,7 @@ class Polarization:
     def __post_init__(self) -> None:
         norm = abs(self.c_h) ** 2 + abs(self.c_v) ** 2
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
-            raise ContractViolationError(f"polarization norm {norm} != 1")
+            raise ParameterError(f"polarization norm {norm} != 1")
 
     @property
     def prob_v(self) -> float:
@@ -264,10 +264,12 @@ def run_slot(
 
 def slot_counts(a_bit: int, b_bit: int, bs: BeamSplitter,
                 rng: np.random.Generator, trials: int) -> dict[Detector, int]:
-    """Detector counts of `trials` honest slots of one bit pair, drawn as
+    """Detector counts of `trials` >= 0 honest slots of one bit pair, drawn as
     that many run_slot calls draw them: the same uniforms against the same
     cuts, a chunk at a time, and none where the outcome is certain."""
     import numpy as np
+    if trials < 0:
+        raise ParameterError(f"trials {trials} must be >= 0")
     outcomes, cuts = bs._slot_tables[a_bit][b_bit]
     counts = dict.fromkeys(Detector, 0)
     if not cuts:

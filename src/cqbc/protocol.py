@@ -71,8 +71,10 @@ def alice_generate(b: int, m: int, n: int,
     import numpy as np
     if n < 2:
         raise ParameterError("n must be >= 2")
+    if b not in (0, 1):
+        raise ParameterError(f"committed bit {b} must be 0 or 1")
     bits = _fair_bits(n, m, rng)
-    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ (b & 1)
+    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ b
     return bits.T
 
 
@@ -158,7 +160,7 @@ class CommitmentTranscript:
 
     def honest_opening(self) -> OpeningMessage:
         return OpeningMessage(
-            claimed_bit=int(self.committed_bit),
+            claimed_bit=self.committed_bit,
             claimed_bits=self.alice_bits.copy(order="K"),
             claimed_d2=self.d2_inferred(),
         )
@@ -198,7 +200,7 @@ class CommitmentTranscript:
             "m": m,
             "n": n,
             "phase": PHASE_COMMITTED if all_passed else PHASE_ABORTED,
-            "clicks": {f"D{code}": c for code, c in enumerate(clicks)},
+            "clicks": dict(zip((d.value for d in optics.Detector), clicks)),
             "bob_confirmed_fraction": (clicks[1] + clicks[2]) / total,
             "alice_d2_fraction": clicks[2] / total,
             "d2_check": {
@@ -321,7 +323,7 @@ def run_commit_phase(
         b = int(bits_rng.integers(0, 2))
     *slots, _ = _commit_slots(b, params.m, params.n, params.bs, bits_rng,
                               substream(params.master_seed, _STREAM_SLOTS))
-    return CommitmentTranscript(params, b & 1, *(a.T for a in slots))
+    return CommitmentTranscript(params, int(b), *(a.T for a in slots))
 
 
 def bob_verify_opening(

@@ -50,6 +50,8 @@ MAX_ITEM_SLOTS = 1 << 22
 # 2 to 3 s and table1 0.3 s (2 CPUs, Python 3.11).
 MAX_CALL_DRAWS = 1 << 25
 
+INT64_MAX = (1 << 63) - 1   # numpy's counts, bounds and seeds are int64
+
 # Slots (or counts: three per slot class in an intercept alter trial, one D2
 # count per sequence in a Bob run) one Monte Carlo chunk may hold. Batched
 # samplers draw whole chunks one after another from the caller's Generator,
@@ -82,6 +84,13 @@ def check_draws(draws: int) -> None:
         raise ParameterError(
             f"{draws} Monte Carlo draws in one call exceed the limit of "
             f"{MAX_CALL_DRAWS}")
+
+
+def check_int64(total: int, what: str) -> None:
+    """Refuse a total of `what` (clicks, slots) past an int64 count."""
+    if total > INT64_MAX:
+        raise ParameterError(
+            f"{total} {what} in total exceed the int64 limit of 2^63 - 1")
 
 
 def _chunks(items: int, slots_per_item: int) -> Iterator[int]:

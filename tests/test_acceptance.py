@@ -1,9 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a single
 PASS/FAIL line with the measured numbers.
 
-These run at full scale (1e4-1e5 Monte Carlo trials) and take a few
-minutes in total; the unit-test files cover the same code paths at
-smaller sizes.
+These run at full scale (1e4 to 1e5 Monte Carlo trials, 10^6 concealing
+samples per n) and take a few seconds in total; the unit-test files cover
+the same code paths at smaller sizes.
 """
 
 import math

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cqbc import adversary, optics, protocol
-from cqbc.errors import ContractViolationError, ParameterError
+from cqbc.errors import ParameterError
 from cqbc.rng import _CHUNK_SLOTS, substream
 
 BALANCED = optics.BeamSplitter.balanced()
@@ -35,7 +35,7 @@ def test_beamsplitter_rejects_unphysical_parameters():
 
 def test_polarization_must_be_normalized():
     for c_h, c_v in ((1.0, 1.0), (math.nan, 0.0), (0.0, math.nan)):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ParameterError):
             optics.Polarization(c_h, c_v)
 
 
@@ -336,6 +336,15 @@ def test_slot_counts_equal_the_run_slot_loop(r, a_bit, b_bit):
             == {det: counts[det] for det in optics.Detector})
     # Both made the same draws.
     assert batched.random() == looped.random()
+
+
+@pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1)])
+def test_slot_counts_refuse_negative_trials_before_drawing(a_bit, b_bit):
+    # A drawn case and a certain one: neither may return counts.
+    rng, untouched = substream(27, b_bit), substream(27, b_bit)
+    with pytest.raises(ParameterError):
+        optics.slot_counts(a_bit, b_bit, BALANCED, rng, -5)
+    assert rng.bit_generator.state == untouched.bit_generator.state
 
 
 @pytest.mark.parametrize("a_bit,b_bit", [(0, 0), (0, 1), (1, 0), (1, 1)])

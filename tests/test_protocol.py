@@ -46,6 +46,17 @@ def test_d2_detection_probability_refuses_a_rate_outside_0_1(p_slot):
         protocol.d2_detection_probability(p_slot, make_params())
 
 
+@pytest.mark.parametrize("b", [2, 3, -1, -2])
+def test_a_committed_bit_other_than_0_or_1_is_refused_before_drawing(b):
+    # Any other bit would be committed as 0 or 1 and reported as given.
+    rng, untouched = substream(5, 0), substream(5, 0)
+    with pytest.raises(ParameterError, match="must be 0 or 1"):
+        protocol.alice_generate(b, 3, 16, rng)
+    assert rng.bit_generator.state == untouched.bit_generator.state
+    with pytest.raises(ParameterError, match="must be 0 or 1"):
+        protocol.run_commit_phase(make_params(), b=b)
+
+
 @given(b=st.integers(0, 1), m=st.integers(1, 8), n=st.integers(2, 24),
        seed=st.integers(0, 1000))
 def test_alice_parity_constraint(b, m, n, seed):

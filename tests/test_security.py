@@ -274,6 +274,10 @@ def test_oracle_equals_closed_form(n, r):
 def test_view_law_is_exact_for_a_fraction_mirror():
     # The oracle's TV over n slots is the per-slot TV to the n-th power,
     # tau^n with tau = 2p' - 1 = 1 - r^2, exactly: 27/64 at r = 1/2, n = 3.
+    # Row 1 is row 0 with the last slot's Bob bit flipped, view by view
+    # (the units digit d -> (d + 3) mod 6): flipping Alice's last bit maps
+    # one parity class onto the other, and only whether the bits match
+    # counts. The sampled law's twins rest on it.
     for r in (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5),
               Fraction(17, 100)):
         bs = optics.BeamSplitter(r, 1 - r)
@@ -285,6 +289,9 @@ def test_view_law_is_exact_for_a_fraction_mirror():
             assert all(isinstance(prob, Fraction) for prob in law.flat)
             assert law.sum(axis=1).tolist() == [1, 1]
             assert abs(law[0] - law[1]).sum() / 2 == tau ** n, (n, r)
+            views = np.arange(6 ** n)
+            flipped = views - views % 6 + (views % 6 + 3) % 6
+            assert law[1].tolist() == law[0][flipped].tolist(), (n, r)
 
 
 @pytest.mark.parametrize("r", [0.5, 0.3])
