@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import itertools
 import json
 import math
@@ -276,7 +277,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     probe.add_argument("rest", nargs=argparse.REMAINDER)
     known = probe.parse_known_args(argv)[0]
     if known.config and known.rest:
-        with open(known.config) as fh:
+        with open(known.config, encoding="utf-8") as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ParameterError("config file must hold a JSON object")
@@ -336,11 +337,20 @@ def main(argv=None) -> int:
     except (ParameterError, AttackImpossibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
+def entry() -> int:
+    """The process entry of `cqbc` and `python -m cqbc.cli`: `main`, then
+    the heap frozen, so the collections at interpreter exit walk nothing.
+    Streams are still flushed and atexit handlers still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -156,6 +156,7 @@ class PhotonState:
 
 @dataclass(frozen=True)
 class DetectionOutcome:
+    """The detector that clicked and the time bin it clicked in."""
     detector: Detector
     time_bin: int
 

@@ -116,6 +116,7 @@ class OpeningMessage:
 
 @dataclass
 class VerifyResult:
+    """Bob's verdict on an opening, with why he refused it."""
     accepted: bool
     reason: str = ""
 

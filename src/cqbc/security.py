@@ -105,6 +105,7 @@ def concealing_advantage(m: int, n: int, p_prime) -> ConcealingReport:
 
 @dataclass
 class ParamSearchResult:
+    """The chosen (m, n) and every value the search tried."""
     m: int
     n: int
     trace: list  # {parameter, value, advantage}

@@ -4,6 +4,7 @@ determinism, CSV export, and config-file layering."""
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -777,6 +778,21 @@ def test_config_file_bad_json_is_io_error(capsys, tmp_path):
     assert code == cli.EXIT_IO
 
 
+# A UTF-16 byte-order mark: no UTF-8 text starts with 0xff.
+UNDECODABLE_CONFIG = b'\xff\xfe{"m": 1}'
+PARAMS_ARGV = ("params", "--target-binding", "3e-6",
+               "--target-concealing", "1.1e-6")
+
+
+def test_config_file_not_utf8_is_io_error(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(UNDECODABLE_CONFIG)
+    code, out, err = run(capsys, "--config", str(cfg), *PARAMS_ARGV)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("I/O error:") and err.count("\n") == 1, err
+
+
 def test_out_to_unwritable_path_is_io_error(capsys):
     code, _, _ = run(capsys, "commit", "--m", "1", "--n", "4",
                      "--out", "/nonexistent/dir/report.json")
@@ -829,18 +845,83 @@ def test_csv_unsupported_for_params_like_reports(capsys):
     assert "CSV" in err
 
 
-def _run_python(probe):
-    """Run `probe` in a fresh interpreter that imports this cqbc."""
+def _python(*args, check=True):
+    """Run a fresh interpreter that imports this cqbc on `args`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=check)
+
+
+def test_config_file_not_utf8_is_io_error_in_a_process(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(UNDECODABLE_CONFIG)
+    result = _python("-m", "cqbc.cli", "--config", str(cfg), *PARAMS_ARGV,
+                     check=False)
+    assert result.returncode == cli.EXIT_IO
+    assert result.stdout == ""
+    assert result.stderr.startswith("I/O error:"), result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
+# ---------------------------------------------------------------------------
+# the process entry: cli.main, then the heap frozen
+# ---------------------------------------------------------------------------
+
+def test_in_process_main_leaves_the_collector_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *PARAMS_ARGV)[0] == cli.EXIT_OK
+    assert run(capsys, "commit", "--m", "1", "--n", "4")[0] == cli.EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("code", [cli.EXIT_OK, cli.EXIT_USAGE,
+                                  cli.EXIT_INFEASIBLE, cli.EXIT_IO])
+def test_entry_freezes_after_main_and_passes_its_code(monkeypatch, code):
+    calls = []
+
+    def main():
+        calls.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.entry() == code
+    assert calls == ["main", "freeze"]
+
+
+def test_entry_runs_as_main_module_and_freezes():
+    # Run cqbc.cli as __main__, as `python -m cqbc.cli` does, with
+    # gc.freeze recording its calls.
+    probe = (
+        "import gc, runpy, sys\n"
+        "calls = []\n"
+        "freeze = gc.freeze\n"
+        "gc.freeze = lambda: (calls.append(1), freeze())\n"
+        f"sys.argv = ['cqbc', *{PARAMS_ARGV!r}]\n"
+        "try:\n"
+        "    runpy.run_module('cqbc.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print([code, len(calls), gc.get_freeze_count() > 0], file=sys.stderr)\n")
+    result = _python("-c", probe)
+    assert result.stderr.strip().splitlines()[-1] == "[0, 1, True]"
+    report = re.sub(r'^  "generated_at": .*\n', "", result.stdout,
+                    flags=re.M)
+    golden = Path(__file__).parent / "golden" / "params.json"
+    assert report == golden.read_text()
+
+
+def test_console_script_is_the_entry():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]\n")[1]
+    assert scripts.splitlines()[0] == f'cqbc = "cqbc.cli:{cli.entry.__name__}"'
 
 
 def test_cli_import_leaves_scipy_unloaded():
     probe = "import sys, cqbc.cli; print('scipy' in sys.modules)"
-    assert _run_python(probe).stdout.strip() == "False"
+    assert _python("-c", probe).stdout.strip() == "False"
 
 
 # The modules a command may leave unloaded, watched in a fresh interpreter.
@@ -850,8 +931,8 @@ _LAZY = ("cqbc.optics", "cqbc.protocol", "cqbc.security", "cqbc.adversary",
 
 def _loaded(probe):
     """Which of _LAZY a fresh interpreter holds after running `probe`."""
-    out = _run_python(probe + "\nimport json, sys\nprint(json.dumps("
-                      f"[m for m in {_LAZY!r} if m in sys.modules]))")
+    out = _python("-c", probe + "\nimport json, sys\nprint(json.dumps("
+                  f"[m for m in {_LAZY!r} if m in sys.modules]))")
     return set(json.loads(out.stdout.splitlines()[-1]))
 
 
@@ -879,7 +960,7 @@ def test_subcommand_imports_only_the_modules_it_runs(argv, unloaded):
 def test_package_import_loads_no_submodule():
     probe = ("import sys, cqbc\n"
              "print([m for m in sys.modules if m.startswith('cqbc.')])")
-    assert _run_python(probe).stdout.strip() == "[]"
+    assert _python("-c", probe).stdout.strip() == "[]"
 
 
 def test_package_root_names_are_their_home_objects():
@@ -908,7 +989,7 @@ def test_cli_runs_without_scipy():
         "         cli.main(['attack', '--strategy', 'bob-bs',\n"
         "                   '--runs', '10'])]\n"
         "print(codes, file=sys.stderr)\n")
-    assert _run_python(probe).stderr.strip().splitlines()[-1] == "[0, 0]"
+    assert _python("-c", probe).stderr.strip().splitlines()[-1] == "[0, 0]"
 
 
 def test_cli_runs_without_numpy():
@@ -926,7 +1007,7 @@ def test_cli_runs_without_numpy():
         "                       '--target-concealing', '1.1e-6'])]\n"
         f"codes.append(cli.main({params!r}))\n"
         "print(codes, file=sys.stderr)\n")
-    result = _run_python(probe)
+    result = _python("-c", probe)
     assert "error:" in result.stderr
     assert result.stderr.strip().splitlines()[-1] == "[0, 2, 0]"
     report = re.sub(r'^  "generated_at": .*\n', "", result.stdout,
